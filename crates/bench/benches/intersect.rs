@@ -165,7 +165,8 @@ fn bench_planner(c: &mut Criterion) {
         ..fixed
     };
     let fixed_plan = fixed.execution_plan(a.nrows(), a.ncols());
-    let auto_plan = tailors_sim::functional::auto_execution_plan(&a, &auto);
+    let auto_plan =
+        tailors_sim::functional::auto_execution_plan(&a, &auto, tailors_sim::CostModel::UNIFORM);
     println!(
         "planner/auto_vs_fixed at 64KiB: fixed {} rows x {} blocks \
          ({} row-drain passes) -> auto {} rows x {} blocks ({} passes)",
@@ -188,7 +189,7 @@ fn bench_planner(c: &mut Criterion) {
     // element touches never *loses* to the uniform model where the
     // uniform model was already right.
     let model = tailors_sim::CostModel::calibrated();
-    let calibrated_plan = tailors_sim::functional::auto_execution_plan_costed(&a, &auto, model);
+    let calibrated_plan = tailors_sim::functional::auto_execution_plan(&a, &auto, model);
     let calibrated = FunctionalConfig {
         rows_a: calibrated_plan.rows_a(),
         auto_plan: false,
@@ -245,29 +246,22 @@ fn bench_suite(c: &mut Criterion) {
     // tie serial there because one bin inherits all the giants.
     let mut g = c.benchmark_group("suite");
     g.sample_size(10);
+    let knobs = |threads| tailors_sim::Knobs {
+        threads,
+        ..tailors_sim::Knobs::default()
+    };
+    let (serial, parallel) = (knobs(1), knobs(rayon::current_num_threads()));
     g.bench_function("simulate_suite_serial_1_256", |bch| {
-        bch.iter(|| black_box(tailors_bench::simulate_suite_with_threads(1.0 / 256.0, 1)))
+        bch.iter(|| black_box(tailors_bench::simulate_suite(1.0 / 256.0, &serial)))
     });
     g.bench_function("simulate_suite_parallel_1_256", |bch| {
-        let threads = rayon::current_num_threads();
-        bch.iter(|| {
-            black_box(tailors_bench::simulate_suite_with_threads(
-                1.0 / 256.0,
-                threads,
-            ))
-        })
+        bch.iter(|| black_box(tailors_bench::simulate_suite(1.0 / 256.0, &parallel)))
     });
     g.bench_function("simulate_suite_serial_1_64", |bch| {
-        bch.iter(|| black_box(tailors_bench::simulate_suite_with_threads(1.0 / 64.0, 1)))
+        bch.iter(|| black_box(tailors_bench::simulate_suite(1.0 / 64.0, &serial)))
     });
     g.bench_function("simulate_suite_parallel_1_64", |bch| {
-        let threads = rayon::current_num_threads();
-        bch.iter(|| {
-            black_box(tailors_bench::simulate_suite_with_threads(
-                1.0 / 64.0,
-                threads,
-            ))
-        })
+        bch.iter(|| black_box(tailors_bench::simulate_suite(1.0 / 64.0, &parallel)))
     });
     g.finish();
 }

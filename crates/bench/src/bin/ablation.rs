@@ -12,13 +12,13 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin ablation [scale]`
 
-use tailors_bench::{arch_at, profile_at, rule, scale_from_args};
+use tailors_bench::{arch_at, parse_cli, profile_at, rule};
 use tailors_eddo::replay::replay_tailor;
 use tailors_eddo::TailorConfig;
 use tailors_sim::{simulate, Variant};
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, _) = parse_cli();
 
     // --- Ablation 1: FIFO-region size vs retained reuse. -----------------
     println!("Ablation 1 — FIFO-region size vs retained reuse (overbooked tile)");

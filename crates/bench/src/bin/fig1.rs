@@ -9,12 +9,12 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin fig1 [scale]`
 
-use tailors_bench::{bar, profile_at, rule, scale_from_args};
+use tailors_bench::{bar, parse_cli, profile_at, rule};
 use tailors_tensor::stats::{summarize, Histogram};
 use tailors_tensor::tiling::RowPanels;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, _) = parse_cli();
     let wl = tailors_workloads::by_name("webbase-1M").expect("suite tensor");
     let (scaled, profile) = profile_at(&wl, scale);
     // The paper's 51.4M-element tile size, scaled with the workload.

@@ -8,12 +8,12 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin fig10 [scale]`
 
-use tailors_bench::{arch_at, bar, profile_at, rule, scale_from_args};
+use tailors_bench::{arch_at, bar, parse_cli, profile_at, rule};
 use tailors_sim::Variant;
 use tailors_tensor::stats::geomean;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, _) = parse_cli();
     let arch = arch_at(scale);
     let ys = [
         0.0, 0.02, 0.05, 0.10, 0.15, 0.22, 0.30, 0.40, 0.50, 0.65, 0.80, 0.90, 1.0,

@@ -7,12 +7,12 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin fig11 [scale]`
 
-use tailors_bench::{arch_at, profile_at, rule, scale_from_args};
+use tailors_bench::{arch_at, parse_cli, profile_at, rule};
 use tailors_core::swiftiles::{achieved_overbooking_rate, Swiftiles, SwiftilesConfig};
 use tailors_tensor::stats::mae_to_target;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, _) = parse_cli();
     let arch = arch_at(scale);
     let capacity = arch.tile_capacity();
     let y = 0.10;

@@ -5,13 +5,13 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin fig13 [scale]`
 
-use tailors_bench::{profile_at, rule, scale_from_args};
+use tailors_bench::{parse_cli, profile_at, rule};
 use tailors_core::swiftiles::{Swiftiles, SwiftilesConfig};
 use tailors_tensor::stats::{quantile, Histogram};
 use tailors_tensor::tiling::RowPanels;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, _) = parse_cli();
     let capacity = (8_192.0 * scale).max(64.0) as u64; // the paper's 8K buffer
     let y = 0.10;
     let wl = tailors_workloads::by_name("amazon0312").expect("suite tensor");

@@ -3,11 +3,11 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin fig8 [scale]`
 
-use tailors_bench::{rule, scale_from_args, simulate_suite};
+use tailors_bench::{parse_cli, rule, simulate_suite};
 use tailors_tensor::stats::geomean;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, knobs) = parse_cli();
     println!("Fig. 8 — energy efficiency normalized to ExTensor-N (scale = {scale})");
     rule(66);
     println!(
@@ -15,7 +15,7 @@ fn main() {
         "workload", "ExTensor-P", "ExTensor-OB", "OB / P"
     );
     rule(66);
-    let runs = simulate_suite(scale);
+    let runs = simulate_suite(scale, &knobs);
     let mut p = Vec::new();
     let mut ob = Vec::new();
     for r in &runs {

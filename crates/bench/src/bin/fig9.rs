@@ -7,12 +7,12 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin fig9 [scale]`
 
-use tailors_bench::{bar, rule, scale_from_args, simulate_suite};
+use tailors_bench::{bar, parse_cli, rule, simulate_suite};
 use tailors_tensor::stats::pearson;
 
 fn main() {
-    let scale = scale_from_args();
-    let runs = simulate_suite(scale);
+    let (scale, knobs) = parse_cli();
+    let runs = simulate_suite(scale, &knobs);
 
     println!("Fig. 9a — DRAM traffic share of overbooking streaming (scale = {scale})");
     rule(70);

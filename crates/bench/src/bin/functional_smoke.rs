@@ -5,8 +5,13 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin functional_smoke --
 //! [--cols N] [--nnz N] [--rows-a N] [--cols-b N] [--auto-tile]
-//! [--auto-plan] [--mem-budget SPEC] [--grid MODE] [--threads N]
-//! [--spill] [--spill-residency SPEC] [--verify]`
+//! [--spill] [--spill-residency SPEC] [--verify] [knob flags]`
+//!
+//! The knob flags (`--threads N`, `--mem-budget SPEC`, `--grid MODE`,
+//! `--auto-plan`, `--calibrate`, `--no-simd`) are resolved by
+//! [`Knobs`](tailors_sim::Knobs): flag, then `TAILORS_*` variable (so
+//! `run_all` reaches this binary the same way as every other), then the
+//! default — which for `--mem-budget` is this binary's own 256 MiB.
 //!
 //! `--spill` stores the generated tensor to a panel-granular TSPILL file
 //! and runs the engine out-of-core
@@ -23,50 +28,56 @@
 //! (`ExecutionPlan::from_strategy` over `TilingStrategy::Overbooked`),
 //! i.e. the same planning path the hardware variants use.
 //!
-//! `--auto-plan` (fallback: `TAILORS_AUTO_PLAN`, so `run_all --auto-plan`
-//! reaches this binary) hands the panel height to the budget-aware
+//! `--auto-plan` hands the panel height to the budget-aware
 //! [`AutoPlanner`](tailors_sim::AutoPlanner) instead: `--rows-a` becomes
-//! the baseline candidate and the engine runs whatever height minimizes
-//! the closed-form traffic model under the budget. `--verify` then diffs
-//! against the seed engine at the *chosen* tiling — the auto run must be
-//! bit-identical to a fixed run there in every reported field.
+//! the baseline candidate, the planner picks whatever height minimizes
+//! its traffic model under the budget (weighted by the `--calibrate`
+//! cost model), and the engine runs that height as a fixed tiling.
+//! `--verify` then diffs against the seed engine at the *chosen* tiling.
 //!
 //! Defaults reproduce the CI acceptance point: a 50 000-column power-law
 //! tensor under a 256 MiB per-thread scratch budget. Unbudgeted, one
 //! 4096-row panel over 50 k columns would need ~1.6 GiB of scratch per
 //! thread; the execution plan blocks it into 8192-column strips instead.
-//! `--mem-budget` falls back to `TAILORS_MEM_BUDGET` (so `run_all
-//! --mem-budget` reaches this binary too), then to 256 MiB. `--grid 2d`
-//! (fallback: `TAILORS_GRID`, then panels) runs the full 2-D
-//! (panel x block) grid decomposition — per-unit buffer drivers with
-//! block-local traffic accounting — whose results, `--verify` proves,
-//! are still bit-identical to the seed engine.
+//! `--grid 2d` runs the full 2-D (panel x block) grid decomposition —
+//! per-unit buffer drivers with block-local traffic accounting — whose
+//! results, `--verify` proves, are still bit-identical to the seed
+//! engine.
 
 use std::time::Instant;
 
-use tailors_bench::{grid_from_env, threads_from_env};
 use tailors_core::swiftiles::SwiftilesConfig;
 use tailors_core::TilingStrategy;
-use tailors_sim::functional::{reference_run, run_spilled, run_with_threads, FunctionalConfig};
-use tailors_sim::{ArchConfig, ExecutionPlan, GridMode, MemBudget};
+use tailors_sim::functional::{
+    auto_execution_plan, reference_run, run_spilled, run_with_threads, FunctionalConfig,
+};
+use tailors_sim::{ArchConfig, ExecutionPlan, GridMode, Knobs, MemBudget};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::storage::MmapStorage;
 
 fn main() {
+    let (knobs, args) = Knobs::from_args(Knobs {
+        mem_budget: MemBudget::mib(256),
+        ..Knobs::default()
+    });
+    let Knobs {
+        threads,
+        mem_budget: budget,
+        grid,
+        auto_plan,
+        cost_model,
+        ..
+    } = knobs;
     let mut cols = 50_000usize;
     let mut nnz: Option<usize> = None;
     let mut rows_a = 4_096usize;
     let mut cols_b = 2_048usize;
     let mut auto_tile = false;
-    let mut auto_plan = false;
-    let mut budget: Option<MemBudget> = None;
-    let mut grid: Option<GridMode> = None;
-    let mut threads: Option<usize> = None;
     let mut spill = false;
     let mut spill_residency = MemBudget::mib(16);
     let mut verify = false;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut next = |flag: &str| {
             args.next()
@@ -86,18 +97,6 @@ fn main() {
                     .expect("--cols-b: positive integer")
             }
             "--auto-tile" => auto_tile = true,
-            "--auto-plan" => auto_plan = true,
-            "--mem-budget" => {
-                budget = Some(MemBudget::parse(&next("--mem-budget")).expect("--mem-budget"))
-            }
-            "--grid" => grid = Some(GridMode::parse(&next("--grid")).expect("--grid")),
-            "--threads" => {
-                threads = Some(
-                    next("--threads")
-                        .parse()
-                        .expect("--threads: positive integer"),
-                )
-            }
             "--spill" => spill = true,
             "--spill-residency" => {
                 spill_residency =
@@ -108,13 +107,6 @@ fn main() {
         }
     }
     let nnz = nnz.unwrap_or(cols.saturating_mul(6));
-    let budget = budget.unwrap_or_else(|| match std::env::var("TAILORS_MEM_BUDGET") {
-        Ok(s) => MemBudget::parse(&s).expect("TAILORS_MEM_BUDGET"),
-        Err(_) => MemBudget::mib(256),
-    });
-    let grid = grid.unwrap_or_else(grid_from_env);
-    let threads = threads.unwrap_or_else(threads_from_env);
-    let auto_plan = auto_plan || tailors_bench::auto_plan_from_env();
 
     println!("generating {cols} x {cols} power-law tensor, target nnz {nnz} ...");
     let t0 = Instant::now();
@@ -134,7 +126,7 @@ fn main() {
         println!("auto-tile: strategy chose {rows_a}-row panels x {cols_b}-col tiles");
     }
 
-    let config = FunctionalConfig {
+    let mut config = FunctionalConfig {
         capacity: (a.nnz() / 8).max(8),
         fifo_region: (a.nnz() / 32).max(1),
         rows_a,
@@ -142,21 +134,20 @@ fn main() {
         overbooking: true,
         mem_budget: budget,
         grid,
-        auto_plan,
+        auto_plan: false,
     };
-    let plan = if auto_plan {
-        // The plan the engine will derive internally: the budget-aware
-        // planner with `--rows-a` as the baseline candidate.
-        let auto = tailors_sim::functional::auto_execution_plan(&a, &config);
+    if auto_plan {
+        // The budget-aware planner with `--rows-a` as the baseline
+        // candidate; the engine then runs its choice as a fixed tiling.
+        let auto = auto_execution_plan(&a, &config, cost_model);
         println!(
             "auto-plan: cost model chose {}-row panels (baseline {rows_a}) -> {} col blocks",
             auto.rows_a(),
             auto.n_col_blocks(),
         );
-        auto
-    } else {
-        config.execution_plan(a.nrows(), a.ncols())
-    };
+        config.rows_a = auto.rows_a();
+    }
+    let plan = config.execution_plan(a.nrows(), a.ncols());
     let stats = plan.scratch_stats(grid);
     println!(
         "plan: {} row panels x {} col blocks = {} work units ({} tiles of {} cols per block); \
@@ -273,16 +264,11 @@ fn main() {
     );
 
     if verify {
-        // The oracle runs at the *effective* tiling: the config's fixed
-        // one, or whatever the auto planner chose — the engine's contract
-        // is bit-identity with the seed engine at the tiling it executed.
-        let oracle_config = FunctionalConfig {
-            rows_a: plan.rows_a(),
-            auto_plan: false,
-            ..config
-        };
+        // The oracle runs at the executed tiling — the config's fixed one
+        // or whatever the auto planner chose: the engine's contract is
+        // bit-identity with the seed engine at the tiling it executed.
         let t2 = Instant::now();
-        let oracle = reference_run(&a, &oracle_config).expect("seed engine run");
+        let oracle = reference_run(&a, &config).expect("seed engine run");
         println!("seed engine: {:.2?}", t2.elapsed());
         assert_eq!(result.z, oracle.z, "output must be bit-identical");
         assert_eq!(result.dram_a_fetches, oracle.dram_a_fetches);

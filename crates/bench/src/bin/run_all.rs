@@ -6,32 +6,32 @@
 //!
 //! At `scale = 1.0` (default) the workloads are generated at the paper's
 //! full dimensions; expect a few minutes, dominated by tensor generation.
-//! `--threads N` pins the suite's worker threads in every child binary
-//! (`--threads 1` is the fully serial, deterministic path); without it the
-//! children use all available cores.
 //!
-//! `--mem-budget SPEC` (e.g. `256MiB`, `1G`, `unbounded`) forwards a
-//! per-thread scratch budget to every child via `TAILORS_MEM_BUDGET`; the
-//! suite records the induced execution plans in its metrics, and the
-//! functional smoke honours it directly. `--grid MODE` (`panels` or `2d`)
-//! forwards the functional grid decomposition the same way via
-//! `TAILORS_GRID` — `2d` fans functional runs out over `panels x blocks`
-//! work units with per-unit buffer drivers (results are bit-identical
-//! either way). `--auto-plan` forwards `TAILORS_AUTO_PLAN=1`: execution
-//! plans come from the budget-aware auto planner (panel height
-//! co-optimized against the scratch budget) instead of the variants'
-//! fixed heights — the suite records the chosen plans in its scratch
-//! stats, and the functional smoke executes (and verifies) them.
+//! The six knob flags are resolved here once by
+//! [`Knobs`](tailors_sim::Knobs) (flag, then `TAILORS_*` variable, then
+//! default) and handed to every child binary through the same variables
+//! ([`Knobs::child_env`](tailors_sim::Knobs::child_env)):
 //!
-//! `--no-simd` forwards `TAILORS_SIMD=off`: every fiber intersection in
-//! every child takes the portable scalar superblock path instead of the
-//! runtime-dispatched SIMD kernel (results are bit-identical either way
-//! — this is the isolation knob CI runs the whole suite under).
-//! `--calibrate` forwards `TAILORS_CALIBRATE=1`: auto planners minimize
-//! measured per-term costs ([`CostModel::calibrated`]) instead of raw
-//! element touches; chosen tilings may differ, replayed results never do.
-//!
-//! [`CostModel::calibrated`]: https://docs.rs/tailors-sim
+//! * `--threads N` pins the suite's worker threads (`--threads 1` is the
+//!   fully serial, deterministic path); without it, all available cores.
+//! * `--mem-budget SPEC` (e.g. `256MiB`, `1G`, `unbounded`) bounds
+//!   per-thread scratch; the suite records the induced execution plans
+//!   in its metrics.
+//! * `--grid MODE` (`panels` or `2d`) picks the functional grid
+//!   decomposition — `2d` fans functional runs out over `panels x blocks`
+//!   work units with per-unit buffer drivers (results are bit-identical
+//!   either way).
+//! * `--auto-plan`: execution plans come from the budget-aware auto
+//!   planner (panel height co-optimized against the scratch budget)
+//!   instead of the variants' fixed heights; the suite records the chosen
+//!   plans in its scratch stats.
+//! * `--calibrate`: auto planners minimize measured per-term costs
+//!   (`CostModel::calibrated`) instead of raw element touches; chosen
+//!   tilings may differ, replayed results never do.
+//! * `--no-simd`: every fiber intersection takes the portable scalar
+//!   superblock path instead of the runtime-dispatched SIMD kernel
+//!   (results are bit-identical either way — this is the isolation knob
+//!   CI runs the whole suite under).
 //!
 //! Generated tensors are memoized on disk across the child binaries
 //! (`TAILORS_GEN_CACHE`, defaulting to `target/gen-cache`) so the ten
@@ -42,7 +42,7 @@
 //! the sequence: repeated suite × variant sweeps through the long-lived
 //! [`SimService`](https://docs.rs/tailors-serve) with `--verify`, proving
 //! plan-hot steady-state responses bit-identical to cold `Variant` runs.
-//! All the knobs above reach it through the same environment variables.
+//! All the knobs above reach it through the same variables.
 //!
 //! `--wire` appends the wire-transport smoke (`serve --wire-smoke`): the
 //! same suite sweep driven through the fault-tolerant service runtime —
@@ -60,49 +60,19 @@
 
 use std::process::Command;
 
+use tailors_sim::Knobs;
+
 fn main() {
+    let (knobs, args) = Knobs::from_args(Knobs::default());
     let mut scale: Option<String> = None;
-    let mut threads: Option<String> = None;
-    let mut mem_budget: Option<String> = None;
-    let mut grid: Option<String> = None;
-    let mut auto_plan = false;
-    let mut calibrate = false;
-    let mut no_simd = false;
     let mut gen_cache = true;
     let mut serve = false;
     let mut wire = false;
     let mut router = false;
-    let mut args = std::env::args().skip(1);
     const USAGE: &str = "usage: run_all [scale] [--threads N] [--mem-budget SPEC] [--grid MODE] \
          [--auto-plan] [--calibrate] [--no-simd] [--no-gen-cache] [--serve] [--wire] [--router]";
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            let n = args.next().expect("--threads requires a value");
-            assert!(
-                n.parse::<usize>().map(|v| v > 0).unwrap_or(false),
-                "--threads must be a positive integer, got {n:?}"
-            );
-            threads = Some(n);
-        } else if arg == "--mem-budget" {
-            let spec = args.next().expect("--mem-budget requires a value");
-            // Fail fast here rather than in every child.
-            if let Err(e) = tailors_sim::MemBudget::parse(&spec) {
-                panic!("--mem-budget: {e}");
-            }
-            mem_budget = Some(spec);
-        } else if arg == "--grid" {
-            let mode = args.next().expect("--grid requires a value");
-            if let Err(e) = tailors_sim::GridMode::parse(&mode) {
-                panic!("--grid: {e}");
-            }
-            grid = Some(mode);
-        } else if arg == "--auto-plan" {
-            auto_plan = true;
-        } else if arg == "--calibrate" {
-            calibrate = true;
-        } else if arg == "--no-simd" {
-            no_simd = true;
-        } else if arg == "--no-gen-cache" {
+    for arg in args {
+        if arg == "--no-gen-cache" {
             gen_cache = false;
         } else if arg == "--serve" {
             serve = true;
@@ -161,24 +131,7 @@ fn main() {
         );
         cmd.arg(&scale);
         cmd.args(extra);
-        if let Some(t) = &threads {
-            cmd.env("TAILORS_THREADS", t);
-        }
-        if let Some(b) = &mem_budget {
-            cmd.env("TAILORS_MEM_BUDGET", b);
-        }
-        if let Some(g) = &grid {
-            cmd.env("TAILORS_GRID", g);
-        }
-        if auto_plan {
-            cmd.env("TAILORS_AUTO_PLAN", "1");
-        }
-        if calibrate {
-            cmd.env("TAILORS_CALIBRATE", "1");
-        }
-        if no_simd {
-            cmd.env("TAILORS_SIMD", "off");
-        }
+        cmd.envs(knobs.child_env());
         if gen_cache {
             cmd.env("TAILORS_GEN_CACHE", &cache_dir);
         } else {

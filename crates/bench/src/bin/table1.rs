@@ -4,12 +4,12 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin table1 [scale]`
 
-use tailors_bench::{arch_at, fmt_count, profile_at, rule, scale_from_args};
+use tailors_bench::{arch_at, fmt_count, parse_cli, profile_at, rule};
 use tailors_core::swiftiles::SwiftilesConfig;
 use tailors_core::TilingStrategy;
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, _) = parse_cli();
     let arch = arch_at(scale);
     let capacity = arch.tile_capacity();
     let strategies: [(&str, TilingStrategy); 4] = [

@@ -4,10 +4,10 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin table2 [scale]`
 
-use tailors_bench::{fmt_count, generate_cached, rule, scale_from_args};
+use tailors_bench::{fmt_count, generate_cached, parse_cli, rule};
 
 fn main() {
-    let scale = scale_from_args();
+    let (scale, _) = parse_cli();
     println!("Table 2 — workload characteristics (scale = {scale})");
     rule(92);
     println!(

@@ -7,18 +7,21 @@
 //! Architecture capacities are scaled by the same factor so tensor-to-
 //! buffer ratios — and hence the evaluation's shape — are preserved.
 //!
-//! Cross-cutting environment knobs (all forwarded by `run_all` flags):
-//! `TAILORS_THREADS` pins suite worker threads, `TAILORS_MEM_BUDGET`
-//! bounds per-thread scratch via the execution planner (see
-//! [`mem_budget_from_env`]), `TAILORS_GRID` picks the functional grid
-//! decomposition (see [`grid_from_env`]), and `TAILORS_GEN_CACHE` names
-//! the on-disk tensor-generation cache directory (see
-//! [`generate_cached`]).
+//! The six run options (threads, mem budget, grid, auto-plan, cost
+//! model, no-simd) are resolved once per process by [`parse_cli`]
+//! through [`Knobs`]: each comes from its flag (`--threads N`,
+//! `--mem-budget SPEC`, `--grid MODE`, `--auto-plan`, `--calibrate`,
+//! `--no-simd`), else its `TAILORS_*` variable (which is how `run_all`
+//! hands them to every figure binary), else its default; see
+//! [`tailors_sim::knobs`] for the grammar. None of them changes a
+//! figure's numbers except the scratch stats the suite records.
+//! `TAILORS_GEN_CACHE` names the on-disk tensor-generation cache
+//! directory (see [`generate_cached`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use tailors_sim::{run_balanced, ArchConfig, RunMetrics, Variant};
+use tailors_sim::{run_balanced, ArchConfig, Knobs, RunMetrics, Variant};
 use tailors_tensor::MatrixProfile;
 use tailors_workloads::Workload;
 
@@ -65,30 +68,28 @@ impl SuiteRun {
     }
 }
 
-/// Parses the scale factor from the first CLI argument (default 1.0).
+/// Resolves this process's command line: the [`Knobs`] (flags, then
+/// `TAILORS_*` variables, then defaults) and the scale factor, the one
+/// positional argument (default 1.0).
 ///
 /// # Panics
 ///
-/// Panics with a usage message if the argument is present but not a number
-/// in `(0, 1]`.
-pub fn scale_from_args() -> f64 {
-    match std::env::args().nth(1) {
-        None => 1.0,
-        Some(s) => {
-            let v: f64 = s
-                .parse()
-                .unwrap_or_else(|_| panic!("usage: <bin> [scale in (0,1]], got {s:?}"));
+/// Panics with a usage message if the scale is present but not a number
+/// in `(0, 1]`, on any other argument, or on a malformed knob.
+pub fn parse_cli() -> (f64, Knobs) {
+    let (knobs, rest) = Knobs::from_args(Knobs::default());
+    let usage = "usage: <bin> [scale in (0,1]] [knob flags]";
+    let scale = match rest.as_slice() {
+        [] => 1.0,
+        [s] => {
+            let v: f64 = s.parse().unwrap_or_else(|_| panic!("{usage}, got {s:?}"));
             assert!(v > 0.0 && v <= 1.0, "scale must be in (0, 1]");
             v
         }
-    }
+        _ => panic!("{usage}, got {rest:?}"),
+    };
+    (scale, knobs)
 }
-
-// The environment-knob parsers live in `tailors-sim` next to the types
-// they produce (one definition for the figure binaries, the serving
-// sweeps, and anything else); re-exported here so existing
-// `tailors_bench::*_from_env` callers keep working.
-pub use tailors_sim::{auto_plan_from_env, grid_from_env, mem_budget_from_env, threads_from_env};
 
 /// The architecture used by every figure, scaled consistently.
 pub fn arch_at(scale: f64) -> ArchConfig {
@@ -106,99 +107,45 @@ pub fn profile_at(workload: &Workload, scale: f64) -> (Workload, MatrixProfile) 
 }
 
 /// Runs the three variants over the whole 22-workload suite, fanning the
-/// independent workload runs across [`threads_from_env`] worker threads.
-pub fn simulate_suite(scale: f64) -> Vec<SuiteRun> {
-    simulate_suite_with_threads(scale, threads_from_env())
-}
-
-/// [`simulate_suite_with_threads`] routed through a long-lived
-/// [`SimService`](tailors_serve::SimService): one request per
-/// (workload, variant), submitted as a single cost-balanced batch, with
-/// profiles and plans answered from the service's cache tiers when hot.
-/// Output is bit-identical to the direct suite run at every thread count
-/// and for any cache state — a repeated sweep only gets *faster*, never
-/// different (`suite_results_are_identical_under_serving` pins this).
+/// independent workload runs across `knobs.threads` worker threads
+/// (`1` = fully serial). Every workload is seeded and independent and
+/// results are reassembled in suite order, so the output is identical
+/// for any count.
 ///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn simulate_suite_served(
-    service: &tailors_serve::SimService,
-    scale: f64,
-    threads: usize,
-) -> Vec<SuiteRun> {
-    assert!(threads > 0, "thread count must be positive");
-    let arch = arch_at(scale);
-    let budget = mem_budget_from_env();
-    let grid = grid_from_env();
-    let auto_plan = auto_plan_from_env();
-    let suite = tailors_workloads::suite();
-    let variants = [
-        Variant::ExTensorN,
-        Variant::ExTensorP,
-        Variant::default_ob(),
-    ];
-    let reqs: Vec<tailors_serve::SimRequest> = suite
-        .iter()
-        .flat_map(|wl| {
-            variants.map(|variant| tailors_serve::SimRequest {
-                workload: wl.scaled(scale),
-                variant,
-                arch,
-                budget,
-                grid,
-                auto_plan,
-            })
-        })
-        .collect();
-    let responses = service.submit_batch(&reqs, threads);
-    suite
-        .iter()
-        .zip(responses.chunks(variants.len()))
-        .map(|(wl, r)| {
-            let (workload, profile) = profile_at(wl, scale);
-            SuiteRun {
-                workload,
-                profile,
-                n: r[0].metrics,
-                p: r[1].metrics,
-                ob: r[2].metrics,
-            }
-        })
-        .collect()
-}
-
-/// [`simulate_suite`] with an explicit thread count (`1` = fully serial).
-/// Every workload is seeded and independent and results are reassembled
-/// in suite order, so the output is identical for any count.
+/// The budget, grid and auto-plan knobs never change hardware counts;
+/// they are recorded in each run's `scratch` stats so sweeps can report
+/// feasibility and parallel width. Auto plans are chosen under
+/// `knobs.cost_model`.
 ///
 /// The fan-out is *cost-chunked*: workloads land in
-/// [`balanced_partition`] bins weighted by their scaled size instead of
-/// uniform contiguous splits. The suite's sizes span two orders of
-/// magnitude (Table 2 runs from 63 k- to 2 M-row tensors), so a uniform
-/// split leaves every thread but the one holding the giants idle —
-/// cost-shaped bins are what actually separates the parallel and serial
-/// curves (the vendored rayon never steals work).
+/// [`balanced_partition`](tailors_sim::balanced_partition) bins weighted
+/// by their scaled size instead of uniform contiguous splits. The suite's
+/// sizes span two orders of magnitude (Table 2 runs from 63 k- to 2 M-row
+/// tensors), so a uniform split leaves every thread but the one holding
+/// the giants idle — cost-shaped bins are what actually separates the
+/// parallel and serial curves (the vendored rayon never steals work).
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`.
-pub fn simulate_suite_with_threads(scale: f64, threads: usize) -> Vec<SuiteRun> {
-    assert!(threads > 0, "thread count must be positive");
+/// Panics if `knobs.threads == 0`.
+pub fn simulate_suite(scale: f64, knobs: &Knobs) -> Vec<SuiteRun> {
+    assert!(knobs.threads > 0, "thread count must be positive");
     let arch = arch_at(scale);
-    // Budget, grid, and auto-planning never change hardware counts; they
-    // are recorded in each run's `scratch` stats so sweeps can report
-    // feasibility and parallel width.
-    let budget = mem_budget_from_env();
-    let grid = grid_from_env();
-    let auto_plan = auto_plan_from_env();
     let one = |wl: &Workload| {
         let (workload, profile) = profile_at(wl, scale);
         let run = |v: Variant| {
-            if auto_plan {
-                v.run_auto(&profile, &arch, budget, grid)
+            if knobs.auto_plan {
+                let tile = v.plan(&profile, &arch);
+                let exec = v.auto_execution_plan(
+                    &profile,
+                    &arch,
+                    knobs.mem_budget,
+                    &tile,
+                    knobs.cost_model,
+                );
+                v.run_planned(&profile, &arch, &tile, &exec, knobs.grid)
             } else {
-                v.run_gridded(&profile, &arch, budget, grid)
+                v.run_gridded(&profile, &arch, knobs.mem_budget, knobs.grid)
             }
         };
         let n = run(Variant::ExTensorN);
@@ -222,7 +169,63 @@ pub fn simulate_suite_with_threads(scale: f64, threads: usize) -> Vec<SuiteRun> 
             s.target_nnz as u128 + s.nrows as u128 + 1
         })
         .collect();
-    run_balanced(suite.len(), &costs, threads, |i| one(&suite[i]))
+    run_balanced(suite.len(), &costs, knobs.threads, |i| one(&suite[i]))
+}
+
+/// [`simulate_suite`] routed through a long-lived
+/// [`SimService`](tailors_serve::SimService): one request per
+/// (workload, variant), submitted as a single cost-balanced batch, with
+/// profiles and plans answered from the service's cache tiers when hot.
+/// Output is bit-identical to the direct suite run under the same knobs
+/// at every thread count and for any cache state — a repeated sweep only
+/// gets *faster*, never different (`suite_results_are_identical_under_serving`
+/// pins this). The service plans auto-planned requests under its own
+/// configured cost model, which must be `knobs.cost_model`.
+///
+/// # Panics
+///
+/// Panics if `knobs.threads == 0`.
+pub fn simulate_suite_served(
+    service: &tailors_serve::SimService,
+    scale: f64,
+    knobs: &Knobs,
+) -> Vec<SuiteRun> {
+    assert!(knobs.threads > 0, "thread count must be positive");
+    let arch = arch_at(scale);
+    let suite = tailors_workloads::suite();
+    let variants = [
+        Variant::ExTensorN,
+        Variant::ExTensorP,
+        Variant::default_ob(),
+    ];
+    let reqs: Vec<tailors_serve::SimRequest> = suite
+        .iter()
+        .flat_map(|wl| {
+            variants.map(|variant| tailors_serve::SimRequest {
+                workload: wl.scaled(scale),
+                variant,
+                arch,
+                budget: knobs.mem_budget,
+                grid: knobs.grid,
+                auto_plan: knobs.auto_plan,
+            })
+        })
+        .collect();
+    let responses = service.submit_batch(&reqs, knobs.threads);
+    suite
+        .iter()
+        .zip(responses.chunks(variants.len()))
+        .map(|(wl, r)| {
+            let (workload, profile) = profile_at(wl, scale);
+            SuiteRun {
+                workload,
+                profile,
+                n: r[0].metrics,
+                p: r[1].metrics,
+                ob: r[2].metrics,
+            }
+        })
+        .collect()
 }
 
 /// Prints a horizontal rule sized to `width`.
@@ -268,11 +271,18 @@ mod tests {
         assert_eq!(bar(-1.0, 3), "...");
     }
 
+    fn threads(n: usize) -> Knobs {
+        Knobs {
+            threads: n,
+            ..Knobs::default()
+        }
+    }
+
     #[test]
     fn suite_results_do_not_depend_on_thread_count() {
         let scale = 1.0 / 256.0;
-        let serial = simulate_suite_with_threads(scale, 1);
-        let parallel = simulate_suite_with_threads(scale, 4);
+        let serial = simulate_suite(scale, &threads(1));
+        let parallel = simulate_suite(scale, &threads(4));
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.workload.name, p.workload.name);
@@ -285,12 +295,12 @@ mod tests {
     #[test]
     fn suite_results_are_identical_under_serving() {
         let scale = 1.0 / 256.0;
-        let direct = simulate_suite_with_threads(scale, 1);
+        let direct = simulate_suite(scale, &threads(1));
         let service = tailors_serve::SimService::new();
         // Cold pass, then a fully plan-hot pass, at different widths:
         // all bit-identical to the direct suite.
         for threads in [1, 3] {
-            let served = simulate_suite_served(&service, scale, threads);
+            let served = simulate_suite_served(&service, scale, &self::threads(threads));
             assert_eq!(served.len(), direct.len());
             for (s, d) in served.iter().zip(&direct) {
                 assert_eq!(s.workload.name, d.workload.name);
@@ -303,11 +313,63 @@ mod tests {
         assert_eq!(stats.plan_hits, 66, "second pass must be fully plan-hot");
     }
 
+    /// The suite's auto plans come from `knobs.cost_model`: a skewed model
+    /// reaches every variant's plan and moves at least one of them.
+    #[test]
+    fn suite_auto_plans_use_the_knob_cost_model() {
+        let scale = 1.0 / 64.0;
+        let skewed = tailors_sim::CostModel {
+            w_fill: 1,
+            w_refetch: 1,
+            w_extract: 1_000,
+        };
+        let knobs = Knobs {
+            threads: 2,
+            mem_budget: tailors_sim::MemBudget::bytes(256 << 10),
+            auto_plan: true,
+            cost_model: skewed,
+            ..Knobs::default()
+        };
+        let uniform = simulate_suite(
+            scale,
+            &Knobs {
+                cost_model: tailors_sim::CostModel::UNIFORM,
+                ..knobs
+            },
+        );
+        let runs = simulate_suite(scale, &knobs);
+        let arch = arch_at(scale);
+        let mut moved = 0;
+        for (r, u) in runs.iter().zip(&uniform) {
+            let variants = [
+                Variant::ExTensorN,
+                Variant::ExTensorP,
+                Variant::default_ob(),
+            ];
+            for (v, (m, um)) in variants
+                .iter()
+                .zip([(&r.n, &u.n), (&r.p, &u.p), (&r.ob, &u.ob)])
+            {
+                let tile = v.plan(&r.profile, &arch);
+                let exec =
+                    v.auto_execution_plan(&r.profile, &arch, knobs.mem_budget, &tile, skewed);
+                assert_eq!(
+                    m.scratch,
+                    exec.scratch_stats(knobs.grid),
+                    "{}",
+                    r.workload.name
+                );
+                moved += usize::from(m.scratch != um.scratch);
+            }
+        }
+        assert!(moved > 0, "the skewed model must move at least one plan");
+    }
+
     #[test]
     fn suite_run_smoke() {
         // A very small scale keeps this test fast while exercising the
         // whole pipeline.
-        let runs = simulate_suite(1.0 / 256.0);
+        let runs = simulate_suite(1.0 / 256.0, &Knobs::default());
         assert_eq!(runs.len(), 22);
         for r in &runs {
             assert!(r.n.cycles > 0.0);

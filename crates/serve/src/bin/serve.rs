@@ -10,15 +10,18 @@
 //! [--router N | --shards ADDR,ADDR,... | --router-smoke]
 //! [--replicas R] [--probe-ms MS]`
 //!
-//! `--no-simd` pins `TAILORS_SIMD=off` for the process: every fiber
-//! intersection takes the portable scalar superblock path (results are
-//! bit-identical either way; this is the knob for isolating the SIMD
+//! The six knob flags (`--threads`, `--mem-budget`, `--grid`,
+//! `--auto-plan`, `--calibrate`, `--no-simd`) are resolved by
+//! [`Knobs`]: flag, then `TAILORS_*` variable (so `run_all --serve`
+//! reaches this binary with the same knobs as every other child), then
+//! default. `--no-simd` pins `TAILORS_SIMD=off` for the process: every
+//! fiber intersection takes the portable scalar superblock path (results
+//! are bit-identical either way; this is the knob for isolating the SIMD
 //! dispatch when debugging or benchmarking). `--calibrate` plans
-//! auto-planned requests under the measured [`CostModel::calibrated`]
-//! weights instead of the uniform element-touch model; it also falls
-//! back to `TAILORS_CALIBRATE`, so `run_all --calibrate` reaches this
-//! binary the same way as the other knobs. Calibrated plans are
-//! versioned in the plan tier by the model fingerprint.
+//! auto-planned requests under the measured
+//! [`CostModel::calibrated`](tailors_sim::CostModel::calibrated)
+//! weights instead of the uniform element-touch model. Calibrated plans
+//! are versioned in the plan tier by the model fingerprint.
 //!
 //! The three `--wire*` modes run the fault-tolerant service runtime
 //! (bounded priority mailbox + worker pool + admission control; see
@@ -67,13 +70,11 @@
 //!
 //! The batch is the full 22-workload suite × the three variants at
 //! `scale` (default 1.0), submitted through
-//! [`SimService::submit_batch`]'s cost-balanced LPT scheduler. `--threads`
-//! falls back to `TAILORS_THREADS`, `--mem-budget` to
-//! `TAILORS_MEM_BUDGET`, `--grid` to `TAILORS_GRID`, and `--auto-plan`
-//! to `TAILORS_AUTO_PLAN`, so `run_all --serve` reaches this binary with
-//! the same knobs as every other child. With auto-planning on, execution
-//! plans come from the budget-aware auto planner (cached per request key
-//! like any other plan) and `--verify` diffs against `Variant::run_auto`.
+//! [`SimService::submit_batch`]'s cost-balanced LPT scheduler. With
+//! auto-planning on, execution plans come from the budget-aware auto
+//! planner (cached per request key like any other plan) and `--verify`
+//! diffs against a cold `Variant::auto_execution_plan` +
+//! `Variant::run_planned` under the same cost model.
 //!
 //! `--verify` additionally recomputes every response cold — a direct
 //! `Variant::run_gridded` on a freshly built profile — and asserts
@@ -92,21 +93,21 @@ use tailors_serve::{
     ServeError, ServiceRuntime, ShardRouter, SimRequest, SimService, Work,
 };
 use tailors_sim::functional::reference_run;
-use tailors_sim::{
-    auto_plan_from_env, cost_model_from_env, grid_from_env, mem_budget_from_env, threads_from_env,
-    ArchConfig, CostModel, GridMode, MemBudget, Variant,
-};
+use tailors_sim::{ArchConfig, GridMode, Knobs, MemBudget, Variant};
 use tailors_workloads::{Workload, WorkloadClass};
 
 fn main() {
+    let (knobs, args) = Knobs::from_args(Knobs::default());
+    let Knobs {
+        threads,
+        mem_budget: budget,
+        grid,
+        auto_plan,
+        cost_model,
+        ..
+    } = knobs;
     let mut scale = 1.0f64;
     let mut sweeps = 3usize;
-    let mut threads: Option<usize> = None;
-    let mut budget: Option<MemBudget> = None;
-    let mut grid: Option<GridMode> = None;
-    let mut auto_plan = false;
-    let mut calibrate = false;
-    let mut no_simd = false;
     let mut verify = false;
     let mut smoke_functional = false;
     let mut wire_addr: Option<String> = None;
@@ -118,7 +119,7 @@ fn main() {
     let mut replicas = 1usize;
     let mut probe_ms: Option<u64> = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut next = |flag: &str| {
             args.next()
@@ -130,20 +131,6 @@ fn main() {
                     .parse()
                     .expect("--sweeps: positive integer")
             }
-            "--threads" => {
-                threads = Some(
-                    next("--threads")
-                        .parse()
-                        .expect("--threads: positive integer"),
-                )
-            }
-            "--mem-budget" => {
-                budget = Some(MemBudget::parse(&next("--mem-budget")).expect("--mem-budget"))
-            }
-            "--grid" => grid = Some(GridMode::parse(&next("--grid")).expect("--grid")),
-            "--auto-plan" => auto_plan = true,
-            "--calibrate" => calibrate = true,
-            "--no-simd" => no_simd = true,
             "--verify" => verify = true,
             "--smoke-functional" => smoke_functional = true,
             "--wire" => wire_addr = Some(next("--wire")),
@@ -178,20 +165,6 @@ fn main() {
         }
     }
     assert!(sweeps > 0, "--sweeps must be positive");
-    if no_simd {
-        // Before any intersection runs: the SIMD dispatch level is
-        // resolved lazily (once per process) from this variable.
-        std::env::set_var("TAILORS_SIMD", "off");
-    }
-    let threads = threads.unwrap_or_else(threads_from_env);
-    let budget = budget.unwrap_or_else(mem_budget_from_env);
-    let grid = grid.unwrap_or_else(grid_from_env);
-    let auto_plan = auto_plan || auto_plan_from_env();
-    let cost_model = if calibrate {
-        CostModel::calibrated()
-    } else {
-        cost_model_from_env()
-    };
 
     if wire_stdio {
         run_wire_stdio(threads);
@@ -343,12 +316,12 @@ fn main() {
                 let direct = if req.auto_plan {
                     // Replan cold under the *same* cost model the service
                     // planned with — a calibrated service legitimately
-                    // picks a different tiling than `run_auto`'s uniform
-                    // default would.
+                    // picks a different tiling than the uniform model
+                    // would.
                     let tile = req.variant.plan(&profile, &req.arch);
-                    let exec = req.variant.auto_execution_plan_costed(
-                        &profile, &req.arch, req.budget, &tile, cost_model,
-                    );
+                    let exec = req
+                        .variant
+                        .auto_execution_plan(&profile, &req.arch, req.budget, &tile, cost_model);
                     req.variant
                         .run_planned(&profile, &req.arch, &tile, &exec, req.grid)
                 } else {
@@ -372,7 +345,7 @@ fn main() {
     }
 
     if smoke_functional {
-        functional_smoke(threads, budget, grid, auto_plan, cost_model);
+        functional_smoke(&knobs);
     }
     println!("OK");
 }
@@ -380,13 +353,7 @@ fn main() {
 /// The CI serving smoke: a batch of mixed variants executed *functionally*
 /// at 50 000 columns through the service, each result diffed against the
 /// seed engine under the identical derived configuration.
-fn functional_smoke(
-    threads: usize,
-    budget: MemBudget,
-    grid: GridMode,
-    auto_plan: bool,
-    cost_model: CostModel,
-) {
+fn functional_smoke(knobs: &Knobs) {
     let workload = Workload {
         name: "serve-smoke-50k",
         nrows: 50_000,
@@ -400,7 +367,7 @@ fn functional_smoke(
     // A 1/64-scaled architecture keeps tile plans small enough that the
     // overbooked variant actually overbooks at this occupancy.
     let arch = ArchConfig::extensor().scaled(1.0 / 64.0);
-    let budget = match budget {
+    let budget = match knobs.mem_budget {
         // The suite sweep above may run unbounded; the functional engine
         // at 50 k columns must not (a full-width panel scratch would be
         // gigabytes), so floor the smoke at 256 MiB.
@@ -408,11 +375,11 @@ fn functional_smoke(
         bounded => bounded,
     };
     println!(
-        "functional smoke: {} x {} tensor, mixed variants, budget {budget}, grid {grid}",
-        workload.nrows, workload.ncols
+        "functional smoke: {} x {} tensor, mixed variants, budget {budget}, grid {}",
+        workload.nrows, workload.ncols, knobs.grid
     );
     let service = SimService::with_config(ServeConfig {
-        cost_model,
+        cost_model: knobs.cost_model,
         ..ServeConfig::default()
     });
     let a = tailors_workloads::generate_cached(&workload);
@@ -426,9 +393,9 @@ fn functional_smoke(
             variant,
             arch,
             budget,
-            grid,
-            auto_plan,
-            threads,
+            grid: knobs.grid,
+            auto_plan: knobs.auto_plan,
+            threads: knobs.threads,
         };
         let t = Instant::now();
         let served = service.run_functional(&req).expect("served functional run");

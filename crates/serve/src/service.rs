@@ -648,7 +648,7 @@ impl SimService {
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let tile = variant.plan(profile, arch);
         let exec = if auto_plan {
-            variant.auto_execution_plan_costed(profile, arch, budget, &tile, self.cost_model)
+            variant.auto_execution_plan(profile, arch, budget, &tile, self.cost_model)
         } else {
             ExecutionPlan::for_tile_plan(profile.nrows(), profile.ncols(), &tile, budget)
         };

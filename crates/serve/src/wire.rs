@@ -1089,16 +1089,9 @@ fn decode_serve_error(v: &Json) -> Result<ServeError, WireError> {
 // Envelopes
 // ---------------------------------------------------------------------------
 
-/// Encodes one request line (no trailing newline).
-pub fn encode_request(id: u64, work: &Work) -> String {
-    let mut out = String::new();
-    encode_request_into(id, work, &mut out);
-    out
-}
-
-/// [`encode_request`] into a reusable buffer (cleared first): a client
-/// that keeps one buffer per session renders steady-state requests
-/// without allocating the line itself.
+/// Encodes one request line (no trailing newline) into a reusable
+/// buffer (cleared first): a client that keeps one buffer per session
+/// renders steady-state requests without allocating the line itself.
 pub fn encode_request_into(id: u64, work: &Work, out: &mut String) {
     encode_request_flagged_into(id, work, false, out);
 }
@@ -1231,32 +1224,12 @@ pub fn decode_request_line(line: &str) -> Result<(u64, WireRequest), WireError> 
     Ok((id, WireRequest::Work { work, warm }))
 }
 
-/// Decodes one *work* request line (the pre-ping compatibility surface:
-/// a ping envelope is `Malformed` here, and the warm flag is dropped).
-///
-/// # Errors
-///
-/// [`WireError::Malformed`] for anything that is not a well-formed work
-/// request; never panics.
-pub fn decode_request(line: &str) -> Result<(u64, Work), WireError> {
-    match decode_request_line(line)? {
-        (id, WireRequest::Work { work, .. }) => Ok((id, work)),
-        (_, WireRequest::Ping) => Err(malformed("ping envelope where work was expected")),
-    }
-}
-
-/// Encodes one reply line (no trailing newline). `id` is `None` only for
+/// Encodes one reply line (no trailing newline) into a reusable buffer
+/// (cleared first): the server session loops keep one buffer per
+/// connection so steady-state replies reuse its capacity instead of
+/// allocating a fresh line each time. `id` is `None` only for
 /// protocol-level (`malformed`) error replies, which answer lines whose
 /// id could not be read.
-pub fn encode_reply(id: Option<u64>, outcome: &Result<Reply, ServeError>) -> String {
-    let mut out = String::new();
-    encode_reply_into(id, outcome, &mut out);
-    out
-}
-
-/// [`encode_reply`] into a reusable buffer (cleared first): the server
-/// session loops keep one buffer per connection so steady-state replies
-/// reuse its capacity instead of allocating a fresh line each time.
 pub fn encode_reply_into(id: Option<u64>, outcome: &Result<Reply, ServeError>, out: &mut String) {
     let id_json = match id {
         Some(id) => num_u64(id),
@@ -1282,14 +1255,8 @@ pub fn encode_reply_into(id: Option<u64>, outcome: &Result<Reply, ServeError>, o
     obj(vec![("id", id_json), (body.0, body.1)]).render_into(out);
 }
 
-/// Encodes the protocol-level error reply for an undecodable line.
-pub fn encode_malformed_reply(err: &WireError) -> String {
-    let mut out = String::new();
-    encode_malformed_reply_into(err, &mut out);
-    out
-}
-
-/// [`encode_malformed_reply`] into a reusable buffer (cleared first).
+/// Encodes the protocol-level error reply for an undecodable line into a
+/// reusable buffer (cleared first).
 pub fn encode_malformed_reply_into(err: &WireError, out: &mut String) {
     obj(vec![
         ("id", Json::Null),
@@ -1971,10 +1938,15 @@ mod tests {
     #[test]
     fn request_lines_round_trip_bitwise() {
         let req = SimRequest::suite("email-Enron", 1.0 / 256.0, Variant::default_ob()).unwrap();
-        let line = encode_request(42, &Work::Sim(req.clone()));
-        let (id, work) = decode_request(&line).unwrap();
+        let mut line = String::new();
+        encode_request_into(42, &Work::Sim(req.clone()), &mut line);
+        let (id, parsed) = decode_request_line(&line).unwrap();
         assert_eq!(id, 42);
-        let Work::Sim(decoded) = work else {
+        let WireRequest::Work {
+            work: Work::Sim(decoded),
+            warm: false,
+        } = parsed
+        else {
             panic!("wrong kind")
         };
         assert_eq!(decoded.workload, req.workload);
@@ -2008,7 +1980,8 @@ mod tests {
             ServeError::BadRequest("no".into()),
             ServeError::Shutdown,
         ] {
-            let line = encode_reply(Some(7), &Err(err.clone()));
+            let mut line = String::new();
+            encode_reply_into(Some(7), &Err(err.clone()), &mut line);
             let (id, outcome) = decode_reply(&line).unwrap();
             assert_eq!(id, Some(7));
             assert_eq!(outcome.unwrap_err(), err);
@@ -2024,19 +1997,18 @@ mod tests {
         let (id, parsed) = decode_request_line(&line).unwrap();
         assert_eq!(id, 9);
         assert!(matches!(parsed, WireRequest::Work { warm: true, .. }));
-        let plain = encode_request(10, &Work::Sim(req));
+        let mut plain = String::new();
+        encode_request_into(10, &Work::Sim(req), &mut plain);
         assert!(matches!(
             decode_request_line(&plain).unwrap().1,
             WireRequest::Work { warm: false, .. }
         ));
-        // Ping decodes as Ping, and the compat work decoder refuses it.
-        line.clear();
+        // Ping decodes as Ping.
         encode_ping_into(11, &mut line);
         assert!(matches!(
             decode_request_line(&line).unwrap(),
             (11, WireRequest::Ping)
         ));
-        assert!(decode_request(&line).is_err());
         // Pong carries the stats snapshot losslessly.
         let stats = RuntimeStats {
             submitted: 7,
@@ -2095,7 +2067,8 @@ mod tests {
     fn malformed_lines_get_protocol_replies_and_the_session_survives() {
         let runtime = ServiceRuntime::new(crate::runtime::RuntimeConfig::default());
         let req = SimRequest::suite("email-Enron", 1.0 / 512.0, Variant::ExTensorP).unwrap();
-        let good = encode_request(1, &Work::Sim(req));
+        let mut good = String::new();
+        encode_request_into(1, &Work::Sim(req), &mut good);
         let input = format!("not json\n\n{good}\n{{\"id\":2,\"kind\":\"nope\",\"req\":{{}}}}\n");
         let mut out = Vec::new();
         let report = serve_lines(&runtime, input.as_bytes(), &mut out).unwrap();

@@ -133,7 +133,7 @@ fn cost_model_versions_auto_plans_but_not_fixed_ones() {
             for (resp, model) in [(&uniform_resp, CostModel::UNIFORM), (&skewed_resp, skewed)] {
                 let exec = req
                     .variant
-                    .auto_execution_plan_costed(&profile, &arch, budget, &tile, model);
+                    .auto_execution_plan(&profile, &arch, budget, &tile, model);
                 let direct = req
                     .variant
                     .run_planned(&profile, &arch, &tile, &exec, req.grid);

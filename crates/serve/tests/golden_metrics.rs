@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tailors_serve::{SimRequest, SimService};
-use tailors_sim::{ArchConfig, GridMode, MemBudget, RunMetrics, Variant};
+use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, RunMetrics, Variant};
 use tailors_workloads::Workload;
 
 /// Fixed evaluation points: two structurally different suite workloads
@@ -186,7 +186,10 @@ fn golden_metrics_direct() {
     for (wl, variant, budget, grid, auto_plan) in combos() {
         let profile = tailors_workloads::generate_cached(&wl).profile();
         let m = if auto_plan {
-            variant.run_auto(&profile, &arch, budget, grid)
+            let tile = variant.plan(&profile, &arch);
+            let exec =
+                variant.auto_execution_plan(&profile, &arch, budget, &tile, CostModel::UNIFORM);
+            variant.run_planned(&profile, &arch, &tile, &exec, grid)
         } else {
             variant.run_gridded(&profile, &arch, budget, grid)
         };

@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 
-use tailors_serve::wire::{decode_reply, decode_request, encode_reply, encode_request, Json};
+use tailors_serve::wire::{
+    decode_reply, decode_request_line, encode_reply_into, encode_request_into, Json, WireRequest,
+};
 use tailors_serve::{FunctionalRequest, OverloadReason, Reply, ServeError, SimRequest, Work};
 use tailors_sim::functional::{FunctionalConfig, FunctionalResult};
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
@@ -110,11 +112,14 @@ proptest! {
             grid: if flags.0 { GridMode::Grid2D } else { GridMode::Panels },
             auto_plan: flags.1,
         };
-        let line = encode_request(id, &Work::Sim(req.clone()));
+        let mut line = String::new();
+        encode_request_into(id, &Work::Sim(req.clone()), &mut line);
         prop_assert!(!line.contains('\n'), "one request must stay one line");
-        let (decoded_id, decoded) = decode_request(&line).expect("round trip");
+        let (decoded_id, decoded) = decode_request_line(&line).expect("round trip");
         prop_assert_eq!(decoded_id, id);
-        let Work::Sim(d) = decoded else { panic!("wrong kind") };
+        let WireRequest::Work { work: Work::Sim(d), warm: false } = decoded else {
+            panic!("wrong kind")
+        };
         assert_workloads_bit_eq(&d.workload, &req.workload);
         assert_variants_bit_eq(d.variant, req.variant);
         prop_assert_eq!(d.arch, req.arch);
@@ -139,9 +144,12 @@ proptest! {
             auto_plan: true,
             threads,
         };
-        let line = encode_request(3, &Work::Functional(Box::new(req.clone())));
-        let (_, decoded) = decode_request(&line).expect("round trip");
-        let Work::Functional(d) = decoded else { panic!("wrong kind") };
+        let mut line = String::new();
+        encode_request_into(3, &Work::Functional(Box::new(req.clone())), &mut line);
+        let (_, decoded) = decode_request_line(&line).expect("round trip");
+        let WireRequest::Work { work: Work::Functional(d), warm: false } = decoded else {
+            panic!("wrong kind")
+        };
         assert_workloads_bit_eq(&d.workload, &req.workload);
         prop_assert_eq!(d.threads, req.threads);
         prop_assert_eq!(d.budget, req.budget);
@@ -178,7 +186,8 @@ proptest! {
             },
             hits: tailors_serve::CacheHits { tensor: true, profile: false, plan: true },
         }));
-        let line = encode_reply(Some(9), &Ok(reply));
+        let mut line = String::new();
+        encode_reply_into(Some(9), &Ok(reply), &mut line);
         let (id, outcome) = decode_reply(&line).expect("round trip");
         prop_assert_eq!(id, Some(9));
         let Ok(Reply::Functional(d)) = outcome else { panic!("wrong reply") };
@@ -215,7 +224,8 @@ proptest! {
             5 => ServeError::BadRequest(message),
             _ => ServeError::Shutdown,
         };
-        let line = encode_reply(Some(a), &Err(err.clone()));
+        let mut line = String::new();
+        encode_reply_into(Some(a), &Err(err.clone()), &mut line);
         let (id, outcome) = decode_reply(&line).expect("round trip");
         prop_assert_eq!(id, Some(a));
         prop_assert_eq!(outcome.unwrap_err(), err);
@@ -230,13 +240,14 @@ proptest! {
     ) {
         let req = SimRequest::suite("cant", 1.0 / 256.0, variant_from(variant_sel, 0, 10))
             .expect("suite workload");
-        let line = encode_request(1, &Work::Sim(req));
+        let mut line = String::new();
+        encode_request_into(1, &Work::Sim(req), &mut line);
         let mut cut = (line.len() as u64 * u64::from(cut_frac) / 1000) as usize;
         while cut < line.len() && !line.is_char_boundary(cut) {
             cut += 1;
         }
         if cut < line.len() {
-            prop_assert!(decode_request(&line[..cut]).is_err());
+            prop_assert!(decode_request_line(&line[..cut]).is_err());
         }
     }
 
@@ -249,7 +260,7 @@ proptest! {
     ) {
         let text = String::from_utf8_lossy(&bytes);
         let _ = Json::parse(&text);
-        let _ = decode_request(&text);
+        let _ = decode_request_line(&text);
         let _ = decode_reply(&text);
     }
 
@@ -264,11 +275,12 @@ proptest! {
     ) {
         let req = SimRequest::suite("email-Enron", 1.0 / 256.0, Variant::ExTensorP)
             .expect("suite workload");
-        let line = encode_request(77, &Work::Sim(req));
+        let mut line = String::new();
+        encode_request_into(77, &Work::Sim(req), &mut line);
         let mut bytes = line.into_bytes();
         let pos = (bytes.len() as u64 * u64::from(pos_frac) / 1000) as usize % bytes.len();
         bytes[pos] = replacement;
         let mutated = String::from_utf8_lossy(&bytes).into_owned();
-        let _ = decode_request(&mutated);
+        let _ = decode_request_line(&mutated);
     }
 }

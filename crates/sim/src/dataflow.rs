@@ -36,29 +36,14 @@ use crate::metrics::{DramBreakdown, ReuseStats, RunMetrics};
 use crate::plan::TilePlan;
 
 /// Simulates one `Z = A·Aᵀ` run and returns its metrics, with an
-/// unbounded software-scratch budget (see [`simulate_budgeted`]).
+/// unbounded software-scratch budget (see [`simulate_gridded`]).
 ///
 /// # Panics
 ///
 /// Panics if the profile is not square (the suite workloads all are) or has
 /// no nonzeros.
 pub fn simulate(profile: &MatrixProfile, arch: &ArchConfig, plan: TilePlan) -> RunMetrics {
-    simulate_budgeted(profile, arch, plan, MemBudget::Unbounded)
-}
-
-/// [`simulate`] under a per-thread scratch [`MemBudget`], with the
-/// historical panels-only grid decomposition (see [`simulate_gridded`]).
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_budgeted(
-    profile: &MatrixProfile,
-    arch: &ArchConfig,
-    plan: TilePlan,
-    budget: MemBudget,
-) -> RunMetrics {
-    simulate_gridded(profile, arch, plan, budget, GridMode::Panels)
+    simulate_gridded(profile, arch, plan, MemBudget::Unbounded, GridMode::Panels)
 }
 
 /// [`simulate`] under a per-thread scratch [`MemBudget`] and a functional

@@ -39,8 +39,8 @@ const SLOT_BYTES: u64 = core::mem::size_of::<f64>() as u64;
 /// A per-thread scratch-memory budget in bytes.
 ///
 /// `Unbounded` reproduces the historical behaviour (one block spanning all
-/// columns). The bench layer parses this from `--mem-budget` /
-/// `TAILORS_MEM_BUDGET` via [`MemBudget::parse`].
+/// columns). [`Knobs`](crate::Knobs) resolves the `--mem-budget` knob
+/// through [`MemBudget::parse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemBudget {
     /// No limit: the scratch spans every column of the output.
@@ -123,66 +123,6 @@ impl core::fmt::Display for MemBudget {
             }
             MemBudget::Bytes(b) => write!(f, "{b}B"),
         }
-    }
-}
-
-/// The per-thread scratch budget from the `TAILORS_MEM_BUDGET`
-/// environment variable (`run_all --mem-budget` forwards it to every
-/// child binary), or [`MemBudget::Unbounded`] when unset. The single
-/// definition every binary layer (bench figures, serving sweeps) parses
-/// this knob through.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_MEM_BUDGET` is set but unparseable (see
-/// [`MemBudget::parse`]).
-pub fn mem_budget_from_env() -> MemBudget {
-    match std::env::var("TAILORS_MEM_BUDGET") {
-        Err(_) => MemBudget::Unbounded,
-        Ok(s) => MemBudget::parse(&s).unwrap_or_else(|e| panic!("TAILORS_MEM_BUDGET: {e}")),
-    }
-}
-
-/// Whether auto-tiling is requested via the `TAILORS_AUTO_PLAN`
-/// environment variable (`run_all --auto-plan` forwards it to every child
-/// binary): `1` / `true` / `yes` (case-insensitive) enable it, `0` /
-/// `false` / `no` / unset leave every path on its fixed tiling.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_AUTO_PLAN` is set to anything else.
-pub fn auto_plan_from_env() -> bool {
-    match std::env::var("TAILORS_AUTO_PLAN") {
-        Err(_) => false,
-        Ok(s) => parse_auto_plan(&s)
-            .unwrap_or_else(|| panic!("TAILORS_AUTO_PLAN must be a boolean, got {s:?}")),
-    }
-}
-
-/// The boolean grammar behind [`auto_plan_from_env`], split out so the
-/// accepted spellings are testable without mutating the process
-/// environment. `None` means unparseable.
-fn parse_auto_plan(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" => Some(true),
-        "" | "0" | "false" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// The functional grid decomposition from the `TAILORS_GRID` environment
-/// variable (`run_all --grid` forwards it the same way), or the panels
-/// default when unset. Results never depend on this — it only changes
-/// the parallel width a functional replay exposes.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_GRID` is set but unparseable (see
-/// [`GridMode::parse`]).
-pub fn grid_from_env() -> GridMode {
-    match std::env::var("TAILORS_GRID") {
-        Err(_) => GridMode::default(),
-        Ok(s) => GridMode::parse(&s).unwrap_or_else(|e| panic!("TAILORS_GRID: {e}")),
     }
 }
 
@@ -846,30 +786,6 @@ fn measure_ps(elems_per_pass: usize, passes: usize, mut f: impl FnMut()) -> u64 
         best = best.min(total_ps / (elems_per_pass * passes) as u64);
     }
     best.max(1)
-}
-
-/// The planner cost model from the `TAILORS_CALIBRATE` environment
-/// variable (`run_all --calibrate` and `serve --calibrate` forward it):
-/// `1` / `true` / `yes` run [`CostModel::calibrated`] once and plan in
-/// measured picoseconds; `0` / `false` / `no` / unset keep the
-/// historical [`CostModel::UNIFORM`] element-touch model.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_CALIBRATE` is set to anything else.
-pub fn cost_model_from_env() -> CostModel {
-    match std::env::var("TAILORS_CALIBRATE") {
-        Err(_) => CostModel::UNIFORM,
-        Ok(s) => {
-            if parse_auto_plan(&s)
-                .unwrap_or_else(|| panic!("TAILORS_CALIBRATE must be a boolean, got {s:?}"))
-            {
-                CostModel::calibrated()
-            } else {
-                CostModel::UNIFORM
-            }
-        }
-    }
 }
 
 /// The closed-form traffic of one auto-planner candidate, in
@@ -1543,18 +1459,29 @@ mod tests {
 
     #[test]
     fn auto_plan_env_parses_booleans() {
-        // Unset: off (the environment is not mutated here — the harness
-        // runs tests concurrently — so the variable itself only gets the
-        // unset-default probe; the grammar is tested directly).
-        assert!(!auto_plan_from_env());
+        // `TAILORS_AUTO_PLAN` resolves through `Knobs` over an injected
+        // environment (the harness runs tests concurrently, so the real
+        // process environment is not mutated here).
+        let auto_plan = |value: Option<&str>| {
+            let env = |name: &str| (name == "TAILORS_AUTO_PLAN").then_some(value).flatten();
+            crate::Knobs::resolve(crate::Knobs::default(), Vec::new(), |name| {
+                env(name).map(str::to_string)
+            })
+            .0
+            .auto_plan
+        };
+        assert!(!auto_plan(None), "unset is off");
         for on in ["1", "true", "YES", " True "] {
-            assert_eq!(parse_auto_plan(on), Some(true), "{on:?}");
+            assert!(auto_plan(Some(on)), "{on:?}");
         }
         for off in ["0", "false", "No", "", "  "] {
-            assert_eq!(parse_auto_plan(off), Some(false), "{off:?}");
+            assert!(!auto_plan(Some(off)), "{off:?}");
         }
-        assert_eq!(parse_auto_plan("always"), None);
-        assert_eq!(parse_auto_plan("2"), None);
+        for bad in ["always", "2"] {
+            let err = std::panic::catch_unwind(|| auto_plan(Some(bad))).expect_err(bad);
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.starts_with("TAILORS_AUTO_PLAN"), "{bad:?}: {msg}");
+        }
     }
 
     #[test]

@@ -71,7 +71,9 @@
 //! count, every memory budget, and both grid modes, and bit-identical to
 //! the retained seed engine [`reference_run`].
 
-use crate::exec::{run_balanced, BufferParams, ExecutionPlan, GridMode, MemBudget, PlanUnit};
+use crate::exec::{
+    run_balanced, BufferParams, CostModel, ExecutionPlan, GridMode, MemBudget, PlanUnit,
+};
 use tailors_eddo::{Buffet, EddoError, Tailor, TailorConfig};
 use tailors_tensor::ops::BlockedSpa;
 use tailors_tensor::storage::{
@@ -238,7 +240,8 @@ pub struct FunctionalConfig {
     /// *baseline* candidate — the engine re-plans the panel height
     /// against `mem_budget` through the
     /// [`AutoPlanner`](crate::exec::AutoPlanner) (see
-    /// [`auto_execution_plan`]) before running. The output matrix is
+    /// [`auto_execution_plan`], under [`CostModel::UNIFORM`]) before
+    /// running. The output matrix is
     /// bit-identical to [`reference_run`] either way (results never
     /// depend on the tiling); the DRAM counts are those of the chosen
     /// tiling.
@@ -266,34 +269,21 @@ impl FunctionalConfig {
     }
 }
 
-/// The execution plan an auto-planned run ([`FunctionalConfig::auto_plan`])
-/// derives: the [`AutoPlanner`](crate::exec::AutoPlanner) over the
-/// matrix's occupancy profile, with the config's buffer as the refetch
-/// model and its `rows_a` as the baseline candidate. Exposed so callers
-/// (smokes, tests, the serving layer) can see the tiling an auto run will
-/// execute — a fixed run at `plan.rows_a()` is bit-identical to the auto
-/// run in every reported field.
-///
-/// The planner's term weights come from the `TAILORS_CALIBRATE` knob
-/// ([`cost_model_from_env`](crate::exec::cost_model_from_env)): unset
-/// keeps the historical equal-weight model, so existing runs are
-/// unaffected; `run_all --calibrate` switches every engine-internal auto
-/// plan to measured weights. Either way the *results* of the run are
+/// The auto-tiled execution plan for `config` on `a`: the
+/// [`AutoPlanner`](crate::exec::AutoPlanner) over the matrix's occupancy
+/// profile, with the config's buffer as the refetch model, its `rows_a`
+/// as the baseline candidate and `model` weighting the terms. A fixed
+/// run at `plan.rows_a()` executes exactly this plan; an auto-planned
+/// run ([`FunctionalConfig::auto_plan`]) derives it itself under
+/// [`CostModel::UNIFORM`], so callers that plan under another model (the
+/// `--calibrate` knob, a service's configured model) resolve the plan
+/// here and run it fixed. Either way the *results* of the run are
 /// bit-identical — only the chosen tiling (and therefore the traffic
 /// counters) can move.
-pub fn auto_execution_plan(a: &CsrMatrix, config: &FunctionalConfig) -> ExecutionPlan {
-    auto_execution_plan_costed(a, config, crate::exec::cost_model_from_env())
-}
-
-/// [`auto_execution_plan`] with an explicit planner
-/// [`CostModel`](crate::exec::CostModel) instead of the environment's —
-/// the entry point for the serving layer (which owns its model and
-/// versions plan-cache keys with it) and for the arbitrary-weight
-/// property tests.
-pub fn auto_execution_plan_costed(
+pub fn auto_execution_plan(
     a: &CsrMatrix,
     config: &FunctionalConfig,
-    model: crate::exec::CostModel,
+    model: CostModel,
 ) -> ExecutionPlan {
     ExecutionPlan::auto_for_budget(
         &a.profile(),
@@ -381,7 +371,7 @@ fn engine_setup(
     let b = a.transpose();
     let n = a.nrows();
     let plan = if config.auto_plan {
-        auto_execution_plan(a, config)
+        auto_execution_plan(a, config, CostModel::UNIFORM)
     } else {
         config.execution_plan(n, n)
     };
@@ -1831,7 +1821,7 @@ mod tests {
                     grid,
                     auto_plan: true,
                 };
-                let chosen = auto_execution_plan(&a, &auto_config);
+                let chosen = auto_execution_plan(&a, &auto_config, CostModel::UNIFORM);
                 let fixed_config = FunctionalConfig {
                     rows_a: chosen.rows_a(),
                     auto_plan: false,

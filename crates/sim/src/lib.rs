@@ -9,6 +9,9 @@
 //!   A-stationary intersection SpMSpM schedule, a roofline cycle model,
 //!   and overbooking streaming-traffic accounting.
 //! * [`variants`] — ExTensor-N / ExTensor-P / ExTensor-OB tile planners.
+//! * [`knobs`] — [`Knobs`], the one resolution point (flag, then
+//!   `TAILORS_*` variable, then default) for the six run options every
+//!   binary shares.
 //! * [`exec`] — the memory-governed execution planner: 2-D (row-panel ×
 //!   column-block) work-unit grids that bound the software engines'
 //!   per-thread dense scratch to a configurable byte budget, the
@@ -44,38 +47,18 @@ pub mod dataflow;
 pub mod energy;
 pub mod exec;
 pub mod functional;
+pub mod knobs;
 pub mod metrics;
 pub mod plan;
 pub mod variants;
 
 pub use arch::{ArchConfig, ArchKey};
-pub use dataflow::{simulate, simulate_budgeted, simulate_gridded, simulate_planned};
+pub use dataflow::{simulate, simulate_gridded, simulate_planned};
 pub use exec::{
-    auto_plan_from_env, balanced_partition, cost_model_from_env, grid_from_env,
-    mem_budget_from_env, run_balanced, AutoPlanner, BufferParams, CostModel, ExecutionPlan,
+    balanced_partition, run_balanced, AutoPlanner, BufferParams, CostModel, ExecutionPlan,
     GridMode, MemBudget, PlanCost, PlanUnit, ScratchStats,
 };
-
-/// Worker-thread count from the `TAILORS_THREADS` environment variable
-/// when set (`1` = the serial path), otherwise whatever rayon advertises.
-/// Results never depend on this — every fan-out in the workspace
-/// reassembles in item order.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_THREADS` is set but not a positive integer.
-pub fn threads_from_env() -> usize {
-    match std::env::var("TAILORS_THREADS") {
-        Err(_) => rayon::current_num_threads(),
-        Ok(s) => {
-            let n: usize = s.trim().parse().unwrap_or_else(|_| {
-                panic!("TAILORS_THREADS must be a positive integer, got {s:?}")
-            });
-            assert!(n > 0, "TAILORS_THREADS must be positive");
-            n
-        }
-    }
-}
+pub use knobs::Knobs;
 
 /// Runs `f` with a rayon pool of exactly `threads` workers active: the
 /// ambient pool when it already has that width (no setup cost), otherwise

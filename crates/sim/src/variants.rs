@@ -161,50 +161,29 @@ impl Variant {
     }
 
     /// [`Variant::execution_plan`] through the budget-aware
-    /// [`AutoPlanner`]: the variant still picks the streamed tile width
-    /// (`gb_cols_b`) and the buffer discipline, but the panel height is
-    /// co-optimized against the column-block width `budget` induces,
-    /// with the variant's own `gb_rows_a` as the baseline candidate. The
-    /// refetch term is priced against the architecture's working-tile
-    /// capacity — the same buffer a functional replay drives — so the
-    /// engine's internal auto plan
+    /// [`AutoPlanner`]: the variant's tile plan `tile` (from
+    /// [`Variant::plan`], passed in because the Swiftiles-governed variant
+    /// pays for sampling there and callers must not pay twice) still
+    /// picks the streamed tile width (`gb_cols_b`) and the buffer
+    /// discipline, but the panel height is co-optimized against the
+    /// column-block width `budget` induces, with the variant's own
+    /// `gb_rows_a` as the baseline candidate. The refetch term is priced
+    /// against the architecture's working-tile capacity — the same buffer
+    /// a functional replay drives — so the functional engine's auto plan
     /// ([`functional::auto_execution_plan`](crate::functional::auto_execution_plan))
-    /// lands on the identical tiling and serve-cache replays stay exact.
+    /// lands on the identical tiling under the same `model`, and
+    /// serve-cache replays stay exact.
     ///
-    /// # Panics
-    ///
-    /// As [`Variant::plan`].
+    /// `model` weights the planner's terms: [`CostModel::UNIFORM`] is the
+    /// historical element-touch model, a calibrated model minimizes
+    /// measured time instead (the serving layer versions its plan-cache
+    /// keys with [`CostModel::key`]). A model only moves which tiling
+    /// wins, never the replayed results. Pair with
+    /// [`Variant::run_planned`] to simulate the chosen plan: the modeled
+    /// hardware counts are untouched (the tile plan still drives the
+    /// dataflow), so the metrics differ from [`Variant::run_gridded`]
+    /// only in [`RunMetrics::scratch`].
     pub fn auto_execution_plan(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
-    ) -> ExecutionPlan {
-        self.auto_execution_plan_for(profile, arch, budget, &self.plan(profile, arch))
-    }
-
-    /// [`Variant::auto_execution_plan`] with the tile plan already on
-    /// hand — the entry point for callers that have paid for
-    /// [`Variant::plan`] (the Swiftiles-sampling stage for the overbooked
-    /// variant) and must not pay for it twice: [`Variant::run_auto`] and
-    /// the serving layer's plan-tier miss path.
-    pub fn auto_execution_plan_for(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
-        tile: &TilePlan,
-    ) -> ExecutionPlan {
-        self.auto_execution_plan_costed(profile, arch, budget, tile, CostModel::UNIFORM)
-    }
-
-    /// [`Variant::auto_execution_plan_for`] with an explicit planner
-    /// [`CostModel`]: the serving layer's plan-tier miss path passes its
-    /// configured (possibly calibrated) model here and versions the
-    /// cache key with [`CostModel::key`]. [`CostModel::UNIFORM`]
-    /// reproduces [`Variant::auto_execution_plan_for`] exactly; any
-    /// model only moves which tiling wins, never the replayed results.
-    pub fn auto_execution_plan_costed(
         &self,
         profile: &MatrixProfile,
         arch: &ArchConfig,
@@ -228,23 +207,11 @@ impl Variant {
         simulate(profile, arch, self.plan(profile, arch))
     }
 
-    /// [`Variant::run`] under a per-thread scratch budget; hardware counts
-    /// are unchanged, and the induced execution plan is recorded in
-    /// [`RunMetrics::scratch`].
-    pub fn run_budgeted(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
-    ) -> RunMetrics {
-        self.run_gridded(profile, arch, budget, GridMode::Panels)
-    }
-
-    /// [`Variant::run_budgeted`] with an explicit functional [`GridMode`]:
-    /// hardware counts are still unchanged, and the recorded
-    /// [`RunMetrics::scratch`] additionally reports how many independent
-    /// work units a functional replay would fan out
-    /// (`panels × blocks` under [`GridMode::Grid2D`]).
+    /// [`Variant::run`] under a per-thread scratch budget and a
+    /// functional [`GridMode`]: hardware counts are unchanged, and the
+    /// induced execution plan is recorded in [`RunMetrics::scratch`],
+    /// including how many independent work units a functional replay
+    /// would fan out (`panels × blocks` under [`GridMode::Grid2D`]).
     pub fn run_gridded(
         &self,
         profile: &MatrixProfile,
@@ -255,35 +222,12 @@ impl Variant {
         simulate_gridded(profile, arch, self.plan(profile, arch), budget, grid)
     }
 
-    /// [`Variant::run_gridded`] with the *software* execution plan chosen
-    /// by the budget-aware auto planner
-    /// ([`Variant::auto_execution_plan`]) instead of fixed at the
-    /// variant's panel height. The modeled hardware counts are untouched
-    /// — the variant's [`TilePlan`] still drives the dataflow — so the
-    /// metrics differ from [`Variant::run_gridded`] only in
-    /// [`RunMetrics::scratch`] (block count, scratch bytes, parallel
-    /// width). Strictly opt-in: no existing entry point routes here.
-    ///
-    /// # Panics
-    ///
-    /// As [`Variant::plan`].
-    pub fn run_auto(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
-        grid: GridMode,
-    ) -> RunMetrics {
-        let tile = self.plan(profile, arch);
-        let exec = self.auto_execution_plan_for(profile, arch, budget, &tile);
-        simulate_planned(profile, arch, tile, &exec, grid)
-    }
-
     /// [`Variant::run_gridded`] with the planning stages precomputed: the
     /// tile plan (`tile`, from [`Variant::plan`] — the expensive stage for
     /// the Swiftiles-governed variant, which samples occupancies) and the
     /// memory-governed execution plan (`exec`, from
-    /// [`Variant::execution_plan`] with the same budget).
+    /// [`Variant::execution_plan`] with the same budget, or from
+    /// [`Variant::auto_execution_plan`] for an auto-planned run).
     ///
     /// This is the cache-consumer entry point: given the same profile and
     /// plans, it is a pure function, bit-identical to

@@ -12,8 +12,7 @@
 
 use proptest::prelude::*;
 use tailors_sim::functional::{
-    auto_execution_plan, auto_execution_plan_costed, reference_run, run_grid, run_with_threads,
-    FunctionalConfig,
+    auto_execution_plan, reference_run, run_grid, run_with_threads, FunctionalConfig,
 };
 use tailors_sim::{CostModel, GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
@@ -154,7 +153,7 @@ proptest! {
             grid: if grid2d { GridMode::Grid2D } else { GridMode::Panels },
             auto_plan: true,
         };
-        let chosen = auto_execution_plan(&a, &auto_config);
+        let chosen = auto_execution_plan(&a, &auto_config, CostModel::UNIFORM);
         let fixed_config = FunctionalConfig {
             rows_a: chosen.rows_a(),
             auto_plan: false,
@@ -218,7 +217,7 @@ proptest! {
             auto_plan: true,
         };
         let model = CostModel { w_fill, w_refetch, w_extract };
-        let chosen = auto_execution_plan_costed(&a, &auto_config, model);
+        let chosen = auto_execution_plan(&a, &auto_config, model);
         prop_assert!(chosen.rows_a() >= 1 && chosen.rows_a() <= a.nrows());
         let fixed_config = FunctionalConfig {
             rows_a: chosen.rows_a(),
@@ -244,8 +243,8 @@ proptest! {
         // candidate's total by a constant cannot reorder candidates.
         let degenerate = CostModel { w_fill, w_refetch: w_fill, w_extract: w_fill };
         prop_assert_eq!(
-            auto_execution_plan_costed(&a, &auto_config, degenerate),
-            auto_execution_plan_costed(&a, &auto_config, CostModel::UNIFORM)
+            auto_execution_plan(&a, &auto_config, degenerate),
+            auto_execution_plan(&a, &auto_config, CostModel::UNIFORM)
         );
     }
 

@@ -221,15 +221,14 @@ impl<'a> Fiber<'a> {
     /// [`Fiber::intersect_counted`] by the balanced-regime blocked walk.
     ///
     /// Dispatches once per process (see [`crate::simd::active_level`])
-    /// between the SIMD kernels in [`crate::simd`] — AVX-512CD conflict
-    /// detection, or the AVX2 rotation-compare merge — and the portable
-    /// scalar superblock walk ([`Fiber::intersect_counted_blocked_scalar`]),
+    /// between the AVX2 rotation-compare merge in [`crate::simd`] and the
+    /// portable scalar superblock walk ([`Fiber::intersect_counted_blocked_scalar`]),
     /// which also serves non-x86_64 targets and the `TAILORS_SIMD=off`
     /// override. Dispatch is bit-invisible: every kernel produces the
     /// exact match count, and `scanned` is always reconstructed through
     /// the same [`merge_endpoints`] rank query, so the returned pair
-    /// never depends on which kernel ran (the property tests pin all
-    /// kernels to [`Fiber::intersect_counted_linear`]).
+    /// never depends on which kernel ran (the property tests pin both
+    /// paths to [`Fiber::intersect_counted_linear`]).
     pub fn intersect_counted_blocked(&self, other: &Fiber<'_>) -> (usize, usize) {
         let (a, b) = (self.coords, other.coords);
         if a.is_empty() || b.is_empty() {

@@ -38,8 +38,8 @@
 // The workspace stance is `forbid(unsafe_code)` everywhere. This crate
 // alone steps down to `deny` — which, unlike `forbid`, can be overridden
 // by a scoped `#[allow]` — so that the audited [`simd`] module can hold
-// the workspace's only `unsafe` blocks (runtime-dispatched AVX2/AVX-512
-// intersect kernels). Every such block carries a `// SAFETY:` comment,
+// the workspace's only `unsafe` blocks (the runtime-dispatched AVX2
+// intersect kernel). Every such block carries a `// SAFETY:` comment,
 // and `unsafe_op_in_unsafe_fn` is denied so `#[target_feature]` bodies
 // get no implicit unsafety either. See `simd`'s module docs for the
 // full audit argument.

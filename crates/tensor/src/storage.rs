@@ -24,8 +24,8 @@
 //! family (SPA accumulators, panel triplet buffers), kept per worker
 //! thread by `tailors_sim::functional` so steady-state serving performs no
 //! heap allocation in the kernel + assembly path. Pooling can be disabled
-//! globally ([`set_pooling`], `TAILORS_POOL=off`) — results are
-//! bit-identical either way, only allocation behaviour differs.
+//! globally with [`set_pooling`] — results are bit-identical either way,
+//! only allocation behaviour differs.
 
 use crate::ops::BlockedSpa;
 use crate::CsrMatrix;
@@ -34,7 +34,7 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A source of buffers: checkout by key, release by dropping the handle.
 ///
@@ -182,25 +182,12 @@ impl PoolItem for PanelBuffers {
 // Global pooling switch
 // ---------------------------------------------------------------------------
 
-static POOLING: OnceLock<AtomicBool> = OnceLock::new();
+static POOLING: AtomicBool = AtomicBool::new(true);
 
-fn pooling_cell() -> &'static AtomicBool {
-    POOLING.get_or_init(|| {
-        let on = match std::env::var("TAILORS_POOL") {
-            Ok(v) => !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            ),
-            Err(_) => true,
-        };
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether scratch pooling is enabled (default on; `TAILORS_POOL=off`
-/// disables it at startup, [`set_pooling`] toggles it in-process).
+/// Whether scratch pooling is enabled (default on; [`set_pooling`]
+/// toggles it in-process).
 pub fn pooling_enabled() -> bool {
-    pooling_cell().load(Ordering::Relaxed)
+    POOLING.load(Ordering::Relaxed)
 }
 
 /// Enables or disables scratch pooling process-wide. With pooling off,
@@ -208,7 +195,7 @@ pub fn pooling_enabled() -> bool {
 /// results are bit-identical either way (the property suite pins it);
 /// only allocation behaviour and pool statistics differ.
 pub fn set_pooling(on: bool) {
-    pooling_cell().store(on, Ordering::Relaxed);
+    POOLING.store(on, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +458,7 @@ impl<T: PoolItem> Storage<T> for HeapStorage {
 /// request, which is what makes the steady-state hot path allocation-free.
 ///
 /// Checkouts respect the global pooling switch: with pooling disabled
-/// (`TAILORS_POOL=off` / [`set_pooling`]) they degrade to detached heap
+/// ([`set_pooling`]) they degrade to detached heap
 /// handles and the slabs stay untouched.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {

@@ -352,14 +352,12 @@ proptest! {
         let lin = a.intersect_counted_linear(&b);
         prop_assert_eq!(a.intersect_counted_blocked_scalar(&b), lin);
         prop_assert_eq!(a.intersect_counted_blocked(&b), lin);
-        for level in [simd::SimdLevel::Avx2, simd::SimdLevel::Avx512] {
-            // None ⇔ this CPU lacks the level; Some must be exact.
-            if let Some(m) = simd::intersect_matches_at(level, &ca, &cb) {
-                prop_assert_eq!(m, lin.0, "kernel {} diverged", level);
-            }
-            if let Some(m) = simd::intersect_matches_at(level, &cb, &ca) {
-                prop_assert_eq!(m, lin.0, "kernel {} diverged flipped", level);
-            }
+        // None ⇔ this CPU lacks AVX2; Some must be exact.
+        if let Some(m) = simd::intersect_matches_at(simd::SimdLevel::Avx2, &ca, &cb) {
+            prop_assert_eq!(m, lin.0, "avx2 kernel diverged");
+        }
+        if let Some(m) = simd::intersect_matches_at(simd::SimdLevel::Avx2, &cb, &ca) {
+            prop_assert_eq!(m, lin.0, "avx2 kernel diverged flipped");
         }
         // Flipped operands through the dispatcher too.
         prop_assert_eq!(b.intersect_counted_blocked(&a), b.intersect_counted_blocked_scalar(&a));
