@@ -70,14 +70,31 @@
 //! every reported traffic count — are bit-identical for every thread
 //! count, every memory budget, and both grid modes, and bit-identical to
 //! the retained seed engine [`reference_run`].
+//!
+//! # One pipeline, two operand homes
+//!
+//! The panel pipeline is written once, generic over where the operands
+//! live (a private `Operand` seam): validation, costing, the panel and
+//! block loops, kernel dispatch, the output sinks and the stitch are
+//! shared. The operand home only answers "page in stationary panel
+//! `[m0, m1)`" and "`B` row `k` inside streamed tile `tj`":
+//!
+//! * **resident** ([`run`], [`run_with_threads`], [`run_grid`]): the
+//!   panel borrows `A`'s own CSR slices, and a tile is a window onto the
+//!   in-RAM transpose through its [`TileColPtr`] view;
+//! * **spilled** ([`run_spilled`], panels mode only): the panel is loaded
+//!   from an [`MmapStorage`] file, and each tile is checked out of its
+//!   residency cache on demand, just before its traversal (there is no
+//!   read-ahead). Both payloads are index-checked as they page in.
 
 use crate::exec::{
     run_balanced, BufferParams, CostModel, ExecutionPlan, GridMode, MemBudget, PlanUnit,
 };
+use std::sync::Arc;
 use tailors_eddo::{Buffet, EddoError, Tailor, TailorConfig};
 use tailors_tensor::ops::BlockedSpa;
 use tailors_tensor::storage::{
-    MmapStorage, PanelBuffers, PanelPayload, PoolHandle, PoolStats, ScratchPool, ShapeClass,
+    MmapStorage, PanelBuffers, PoolHandle, PoolStats, ScratchPool, ShapeClass, SpillTile,
 };
 use tailors_tensor::{CooMatrix, CsrMatrix, TileColPtr};
 
@@ -191,12 +208,14 @@ impl std::error::Error for EngineError {}
 /// Shared request validation for every engine entry point (and
 /// [`reference_run`], which must reject exactly what the rewritten engine
 /// rejects so the oracle stays callable wherever the engine is).
-fn validate(a: &CsrMatrix, config: &FunctionalConfig, threads: usize) -> Result<(), ConfigError> {
-    if a.nrows() != a.ncols() {
-        return Err(ConfigError::NonSquare {
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-        });
+/// `(nrows, ncols)` is the stationary operand's shape, wherever it lives.
+fn validate(
+    (nrows, ncols): (usize, usize),
+    config: &FunctionalConfig,
+    threads: usize,
+) -> Result<(), ConfigError> {
+    if nrows != ncols {
+        return Err(ConfigError::NonSquare { nrows, ncols });
     }
     if config.capacity == 0 {
         return Err(ConfigError::ZeroCapacity);
@@ -348,76 +367,43 @@ pub fn run_with_threads(
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
     match config.grid {
-        GridMode::Panels => run_panels_mode(a, config, threads),
+        GridMode::Panels => {
+            let (op, plan) = Resident::setup(a, config, threads)?;
+            run_panels(&op, config, &plan, a.nrows(), threads)
+        }
         GridMode::Grid2D => Ok(run_grid(a, config, threads)?.0),
     }
 }
 
-/// Validated common setup for both grid modes: the streamed operand, the
-/// execution plan, and (when the memory guard allows) the tile
-/// column-pointer view.
-struct EngineSetup {
-    b: CsrMatrix,
-    plan: ExecutionPlan,
-    b_tiles: Option<TileColPtr>,
-}
-
-fn engine_setup(
-    a: &CsrMatrix,
+/// The panels-mode pipeline over any operand home: one work item per row
+/// panel, all blocks of a panel sharing its buffer driver, panels stitched
+/// in order into one `n × n` CSR output. [`run_with_threads`] runs it over
+/// a [`Resident`] matrix and [`run_spilled`] over an [`MmapStorage`].
+fn run_panels<O: Operand>(
+    op: &O,
     config: &FunctionalConfig,
-    threads: usize,
-) -> Result<EngineSetup, ConfigError> {
-    validate(a, config, threads)?;
-    let b = a.transpose();
-    let n = a.nrows();
-    let plan = if config.auto_plan {
-        auto_execution_plan(a, config, CostModel::UNIFORM)
-    } else {
-        config.execution_plan(n, n)
-    };
-    // Column-pointer view of B at the tile grid: row k ∩ tile tj becomes an
-    // O(1) slice instead of a per-element partition_point. The view costs
-    // nrows × (n_tiles + 1) indices; when a degenerate tiling (tiny cols_b
-    // on a wide B) would make that dwarf the matrix itself, skip it and let
-    // panels fall back to per-element range searches.
-    let n_b_tiles = plan.n_col_tiles();
-    let view_cells = b.nrows() * (n_b_tiles + 1);
-    let b_tiles = if view_cells <= 8 * b.nnz() + 4096 {
-        let view = b.tile_col_ptr(config.cols_b);
-        debug_assert_eq!(view.n_tiles(), n_b_tiles);
-        Some(view)
-    } else {
-        None
-    };
-    Ok(EngineSetup { b, plan, b_tiles })
-}
-
-/// [`run_with_threads`] in [`GridMode::Panels`]: one work item per row
-/// panel, all blocks of a panel sharing its buffer driver.
-fn run_panels_mode(
-    a: &CsrMatrix,
-    config: &FunctionalConfig,
+    plan: &ExecutionPlan,
+    n: usize,
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
-    let EngineSetup { b, plan, b_tiles } = engine_setup(a, config, threads)?;
-    let n = a.nrows();
     let n_a_tiles = plan.n_row_panels();
 
     // Streamed-operand traffic: every A tile streams all of B exactly once
     // (tile occupancies are row-pointer differences summing to nnz), so the
     // per-(ti, tj) row scans of the seed engine collapse to one constant.
-    let dram_b_per_a_tile: u64 = a.nnz() as u64;
+    let dram_b_per_a_tile: u64 = op.nnz() as u64;
 
     // Panel cost ≈ occupancy (what both the traversals and the accumulate
-    // work scale with); +1 keeps empty panels schedulable.
+    // work scale with); +1 keeps empty panels schedulable. Read from the
+    // resident row pointers in either home — no I/O.
     let costs: Vec<u128> = (0..n_a_tiles)
         .map(|ti| {
             let r = plan.panel_rows(ti);
-            a.row_range_nnz(r.start, r.end) as u128 + 1
+            op.row_range_nnz(r.start, r.end) as u128 + 1
         })
         .collect();
     let panel_results = run_balanced(n_a_tiles, &costs, threads, |ti| {
-        run_panel(a, &b, b_tiles.as_ref(), config, &plan, ti)
+        run_panel(op, config, plan, ti)
     });
 
     // Stitch disjoint row panels, in panel order, into one CSR output.
@@ -494,7 +480,7 @@ pub fn run_grid(
     config: &FunctionalConfig,
     threads: usize,
 ) -> Result<(FunctionalResult, Vec<UnitTraffic>), EngineError> {
-    let EngineSetup { b, plan, b_tiles } = engine_setup(a, config, threads)?;
+    let (op, plan) = Resident::setup(a, config, threads)?;
     let n = a.nrows();
     let units: Vec<PlanUnit> = plan.units().collect();
 
@@ -509,7 +495,7 @@ pub fn run_grid(
         })
         .collect();
     let unit_results = run_balanced(units.len(), &costs, threads, |ui| {
-        run_unit(a, &b, b_tiles.as_ref(), config, &units[ui])
+        run_unit(&op, config, &units[ui])
     });
     let mut outputs: Vec<UnitOutput> = Vec::with_capacity(unit_results.len());
     let mut traffic: Vec<UnitTraffic> = Vec::with_capacity(unit_results.len());
@@ -643,46 +629,35 @@ const DENSE_FILL_THRESHOLD: f64 = 0.5;
 /// `occ_panel × occ_block / nnz` for unstructured sparsity (each of the
 /// panel's elements meets the streamed elements sharing its `k`
 /// coordinate; `Σ_k panel_k × block_k` with both factors proportional to
-/// their totals), and writes-per-slot is that over the unit's area.
-fn dense_kernel_for(a: &CsrMatrix, unit: &PlanUnit) -> bool {
+/// their totals), and writes-per-slot is that over the unit's area. Read
+/// from the resident row pointers, so every operand home makes the same
+/// per-unit choice.
+fn dense_kernel_for<O: Operand>(op: &O, unit: &PlanUnit) -> bool {
     let slots = unit.rows.len() as f64 * unit.cols.len() as f64;
-    let nnz = a.nnz() as f64;
+    let nnz = op.nnz() as f64;
     if slots == 0.0 || nnz == 0.0 {
         return false;
     }
-    let occ_panel = a.row_range_nnz(unit.rows.start, unit.rows.end) as f64;
+    let occ_panel = op.row_range_nnz(unit.rows.start, unit.rows.end) as f64;
     // The streamed block's occupancy: B columns [c0, c1) are A rows.
-    let occ_block = a.row_range_nnz(unit.cols.start, unit.cols.end) as f64;
+    let occ_block = op.row_range_nnz(unit.cols.start, unit.cols.end) as f64;
     occ_panel * occ_block >= DENSE_FILL_THRESHOLD * slots * nnz
 }
 
 /// Runs one column block on whichever kernel [`dense_kernel_for`] picks
-/// for `unit` — the single dispatch point both grid modes go through.
-#[allow(clippy::too_many_arguments)]
-fn run_block_dispatch<S: TileSource>(
-    a: &CsrMatrix,
+/// for `unit` — the single dispatch point both grid modes and both operand
+/// homes go through.
+fn run_block_dispatch<O: Operand>(
+    op: &O,
     spa: &mut BlockedSpa,
-    driver: &mut TileDriver<S>,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
-    config: &FunctionalConfig,
+    driver: &mut TileDriver<PanelElems<'_>>,
     unit: &PlanUnit,
-    n: usize,
     sink: BlockSink<'_>,
-) -> Result<(), EddoError> {
-    if dense_kernel_for(a, unit) {
-        run_block(
-            &mut DenseMode(spa),
-            driver,
-            b,
-            b_tiles,
-            config,
-            unit,
-            n,
-            sink,
-        )
+) -> Result<(), EngineError> {
+    if dense_kernel_for(op, unit) {
+        run_block(&mut DenseMode(spa), driver, op, unit, sink)
     } else {
-        run_block(spa, driver, b, b_tiles, config, unit, n, sink)
+        run_block(spa, driver, op, unit, sink)
     }
 }
 
@@ -698,25 +673,36 @@ enum BlockSink<'a> {
     },
 }
 
+impl<'a> BlockSink<'a> {
+    /// The sink of a panel's assembly buffers: staged rows when the panel
+    /// has several blocks, the flat output otherwise.
+    fn of(out: &'a mut PanelBuffers, staged_rows: Option<usize>) -> Self {
+        match staged_rows {
+            Some(rows) => BlockSink::Staged(&mut out.staged[..rows]),
+            None => BlockSink::Direct {
+                row_lens: &mut out.row_lens,
+                cols: &mut out.cols,
+                vals: &mut out.vals,
+            },
+        }
+    }
+}
+
 /// Executes one column block of a stationary panel: shapes `spa` to the
 /// unit, runs all its tile traversals through `driver`, and drains every
 /// row into `sink`. Generic over the accumulator kernel — the caller
 /// picks the masked or dense mode per unit via [`dense_kernel_for`].
-#[allow(clippy::too_many_arguments)]
-fn run_block<S: TileSource, A: UnitSpa>(
+fn run_block<O: Operand, A: UnitSpa>(
     spa: &mut A,
-    driver: &mut TileDriver<S>,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
-    config: &FunctionalConfig,
+    driver: &mut TileDriver<PanelElems<'_>>,
+    op: &O,
     unit: &PlanUnit,
-    n: usize,
     sink: BlockSink<'_>,
-) -> Result<(), EddoError> {
+) -> Result<(), EngineError> {
     let (m0, c0) = (unit.rows.start, unit.cols.start);
     spa.reset_shape(unit.rows.len(), unit.cols.len());
     for tj in unit.tiles.clone() {
-        if let Err(e) = traverse_tile(driver, b, b_tiles, config, tj, n, m0, c0, spa) {
+        if let Err(e) = traverse_tile(driver, op, tj, m0, c0, spa) {
             // Restore the all-zero invariant before propagating.
             spa.clear();
             return Err(e);
@@ -746,42 +732,26 @@ fn run_block<S: TileSource, A: UnitSpa>(
 }
 
 /// One in-order traversal of the stationary tile against streamed tile
-/// `tj`, accumulating into `spa` (block-local columns, re-based at `c0`).
-/// On error the caller must restore the scratch invariant via
-/// [`UnitSpa::clear`].
-#[allow(clippy::too_many_arguments)]
-fn traverse_tile<S: TileSource, A: UnitSpa>(
-    driver: &mut TileDriver<S>,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
-    config: &FunctionalConfig,
+/// `tj` (checked out of `op` for the traversal), accumulating into `spa`
+/// (block-local columns, re-based at `c0`). On error the caller must
+/// restore the scratch invariant via [`UnitSpa::clear`].
+fn traverse_tile<O: Operand, A: UnitSpa>(
+    driver: &mut TileDriver<PanelElems<'_>>,
+    op: &O,
     tj: usize,
-    n: usize,
     m0: usize,
     c0: usize,
     spa: &mut A,
-) -> Result<(), EddoError> {
-    let b_row_ptr = b.row_ptr();
-    let b_cols = b.col_indices();
-    let b_vals = b.values();
-    let n0 = (tj * config.cols_b) as u32;
-    let n1 = ((tj + 1) * config.cols_b).min(n) as u32;
+) -> Result<(), EngineError> {
+    let tile = op.tile(tj)?;
     driver.traverse(|&(m, k, va)| {
-        let (lo, hi) = match b_tiles {
-            Some(view) => view.row_tile_range(k as usize, tj),
-            None => {
-                let (rlo, rhi) = (b_row_ptr[k as usize], b_row_ptr[k as usize + 1]);
-                let coords = &b_cols[rlo..rhi];
-                let start = rlo + coords.partition_point(|&c| c < n0);
-                let end = rlo + coords.partition_point(|&c| c < n1);
-                (start, end)
-            }
-        };
+        let (cols, vals) = O::b_row(&tile, k as usize);
         let local_row = m as usize - m0;
-        for (&nn, &vb) in b_cols[lo..hi].iter().zip(&b_vals[lo..hi]) {
+        for (&nn, &vb) in cols.iter().zip(vals) {
             spa.accumulate(local_row, nn as usize - c0, va * vb);
         }
-    })
+    })?;
+    Ok(())
 }
 
 /// Executes all B-tile traversals for stationary panel `ti`, one plan
@@ -790,71 +760,49 @@ fn traverse_tile<S: TileSource, A: UnitSpa>(
 /// for every memory budget). Each block runs on the accumulator kernel
 /// [`dense_kernel_for`] picks: the bitmask-blocked scratch in the sparse
 /// regime, the plain dense one when the block is predicted to fill.
-///
-/// `b_tiles == None` is the memory-guarded fallback: B-row × tile ranges
-/// are found by per-element binary search, as in the seed engine.
-fn run_panel(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
+fn run_panel<O: Operand>(
+    op: &O,
     config: &FunctionalConfig,
     plan: &ExecutionPlan,
     ti: usize,
-) -> Result<PanelOutput, EddoError> {
-    let n = a.nrows();
+) -> Result<PanelOutput, EngineError> {
     let rows = plan.panel_rows(ti);
-    let (m0, m1) = (rows.start, rows.end);
-    let tile = PanelElems::new(a, m0, m1);
-    let overbooked = tile.len() > config.capacity;
+    let panel_rows = rows.len();
+    op.with_panel(rows.start, rows.end, |tile| {
+        let overbooked = tile.len() > config.capacity;
+        // SPA scratch spanning the panel's output rows × one plan column
+        // block, and the panel's assembly buffers — both checked out of the
+        // worker's scratch pool by shape class, so steady-state runs on warm
+        // threads allocate nothing here. Extraction restores the SPA's
+        // all-zero invariant as it goes.
+        let class = ShapeClass::of(panel_rows, plan.block_cols());
+        SCRATCH_POOL.with(|pool| {
+            pool.set_retention(config.mem_budget.limit_bytes());
+            let mut spa = pool.checkout_spa(class);
+            let mut out = pool.checkout_buffers(class);
 
-    // SPA scratch spanning the panel's output rows × one plan column
-    // block, and the panel's assembly buffers — both checked out of the
-    // worker's scratch pool by shape class, so steady-state runs on warm
-    // threads allocate nothing here. Extraction restores the SPA's
-    // all-zero invariant as it goes.
-    let panel_rows = m1 - m0;
-    let class = ShapeClass::of(panel_rows, plan.block_cols());
-    SCRATCH_POOL.with(|pool| {
-        pool.set_retention(config.mem_budget.limit_bytes());
-        let mut spa = pool.checkout_spa(class);
-        let mut out = pool.checkout_buffers(class);
+            let mut driver = TileDriver::new(tile, config)?;
+            // Per-row staging across blocks. A single-block plan (the
+            // unbudgeted default) extracts rows directly into the flat
+            // output instead, skipping the staging copy on the historical
+            // hot path.
+            let staged_rows = (plan.n_col_blocks() > 1).then_some(panel_rows);
+            if staged_rows.is_some() {
+                out.ensure_staged_rows(panel_rows);
+            }
+            for unit in plan.panel_units(ti) {
+                let sink = BlockSink::of(&mut out, staged_rows);
+                run_block_dispatch(op, &mut spa, &mut driver, &unit, sink)?;
+            }
+            if staged_rows.is_some() {
+                merge_staged(&mut out, panel_rows);
+            }
 
-        let mut driver = TileDriver::new(tile, config)?;
-        // Per-row staging across blocks. A single-block plan (the
-        // unbudgeted default) extracts rows directly into the flat output
-        // instead, skipping the staging copy on the historical hot path.
-        let multi_block = plan.n_col_blocks() > 1;
-        if multi_block {
-            out.ensure_staged_rows(panel_rows);
-        }
-
-        for unit in plan.panel_units(ti) {
-            let sink = if multi_block {
-                BlockSink::Staged(&mut out.staged[..panel_rows])
-            } else {
-                let PanelBuffers {
-                    row_lens,
-                    cols,
-                    vals,
-                    ..
-                } = &mut *out;
-                BlockSink::Direct {
-                    row_lens,
-                    cols,
-                    vals,
-                }
-            };
-            run_block_dispatch(a, &mut spa, &mut driver, b, b_tiles, config, &unit, n, sink)?;
-        }
-
-        if multi_block {
-            merge_staged(&mut out, panel_rows);
-        }
-
-        Ok(PanelOutput {
-            out,
-            dram_a_fetches: driver.fetches(),
-            overbooked,
+            Ok(PanelOutput {
+                out,
+                dram_a_fetches: driver.fetches(),
+                overbooked,
+            })
         })
     })
 }
@@ -882,74 +830,47 @@ fn merge_staged(out: &mut PanelBuffers, panel_rows: usize) {
 /// Executes one (panel × block) unit with a private buffer driver,
 /// returning the block-restricted output and its [`UnitTraffic`].
 fn run_unit(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
+    op: &Resident<'_>,
     config: &FunctionalConfig,
     unit: &PlanUnit,
-) -> Result<(UnitOutput, UnitTraffic), EddoError> {
-    let n = a.nrows();
-    let (m0, m1) = (unit.rows.start, unit.rows.end);
-    let tile = PanelElems::new(a, m0, m1);
-    let occ = tile.len() as u64;
-    let overbooked = tile.len() > config.capacity;
+) -> Result<(UnitOutput, UnitTraffic), EngineError> {
     // This unit's share of the streamed operand: the nonzeros of B columns
     // [c0, c1) are the nonzeros of A rows [c0, c1).
-    let dram_b = a.row_range_nnz(unit.cols.start, unit.cols.end) as u64;
-
+    let dram_b = op.row_range_nnz(unit.cols.start, unit.cols.end) as u64;
     let class = ShapeClass::of(unit.rows.len(), unit.cols.len());
-    SCRATCH_POOL.with(|pool| {
-        pool.set_retention(config.mem_budget.limit_bytes());
-        let mut spa = pool.checkout_spa(class);
-        let mut out = pool.checkout_buffers(class);
-        let mut driver = TileDriver::new(tile, config)?;
-        let PanelBuffers {
-            row_lens,
-            cols,
-            vals,
-            ..
-        } = &mut *out;
-        let sink = BlockSink::Direct {
-            row_lens,
-            cols,
-            vals,
-        };
-        if dense_kernel_for(a, unit) {
-            run_block(
-                &mut DenseMode(&mut spa),
-                &mut driver,
-                b,
-                b_tiles,
-                config,
-                unit,
-                n,
-                sink,
-            )?;
-        } else {
-            run_block(&mut *spa, &mut driver, b, b_tiles, config, unit, n, sink)?;
-        }
+    op.with_panel(unit.rows.start, unit.rows.end, |tile| {
+        let occ = tile.len() as u64;
+        let overbooked = tile.len() > config.capacity;
+        SCRATCH_POOL.with(|pool| {
+            pool.set_retention(config.mem_budget.limit_bytes());
+            let mut spa = pool.checkout_spa(class);
+            let mut out = pool.checkout_buffers(class);
+            let mut driver = TileDriver::new(tile, config)?;
+            let sink = BlockSink::of(&mut out, None);
+            run_block_dispatch(op, &mut spa, &mut driver, unit, sink)?;
 
-        // The per-block reduction (see the module docs): block 0 is the
-        // shared driver's own prefix; later blocks replace their private
-        // cold fill (occ) with one steady-state refetch.
-        let private = driver.fetches();
-        debug_assert!(private >= occ, "a traversal fetches the tile at least once");
-        let dram_a = if unit.col_block == 0 {
-            private
-        } else {
-            private - occ + driver.steady_refetch()
-        };
-        Ok((
-            UnitOutput { out },
-            UnitTraffic {
-                row_panel: unit.row_panel,
-                col_block: unit.col_block,
-                dram_a_fetches: dram_a,
-                dram_a_private: private,
-                dram_b_fetches: dram_b,
-                overbooked: overbooked && unit.col_block == 0,
-            },
-        ))
+            // The per-block reduction (see the module docs): block 0 is the
+            // shared driver's own prefix; later blocks replace their private
+            // cold fill (occ) with one steady-state refetch.
+            let private = driver.fetches();
+            debug_assert!(private >= occ, "a traversal fetches the tile at least once");
+            let dram_a = if unit.col_block == 0 {
+                private
+            } else {
+                private - occ + driver.steady_refetch()
+            };
+            Ok((
+                UnitOutput { out },
+                UnitTraffic {
+                    row_panel: unit.row_panel,
+                    col_block: unit.col_block,
+                    dram_a_fetches: dram_a,
+                    dram_a_private: private,
+                    dram_b_fetches: dram_b,
+                    overbooked: overbooked && unit.col_block == 0,
+                },
+            ))
+        })
     })
 }
 
@@ -986,13 +907,14 @@ pub fn clear_scratch_pool() {
 /// whose CSR payload exceeds the configured RAM budget stream through the
 /// planner's row-panel × column-block working sets.
 ///
-/// The traversal order, buffer-driver configuration, accumulation order,
-/// and traffic accounting are identical to [`run_with_threads`] in
-/// [`GridMode::Panels`] at the same plan, so the result — every field —
-/// is **bit-identical** to the in-RAM run and to [`reference_run`] (the
-/// property suite pins it). While a panel is traversed the engine
-/// prefetches the next column tile in [`ExecutionPlan`] order, keeping
-/// the tile cache's eviction aligned with the plan.
+/// It runs the same panels-mode pipeline as [`run_with_threads`]:
+/// validation, costing, the panel and block loops, kernel dispatch and
+/// the stitch are shared, and only the operand home differs — each
+/// panel's `A` payload is loaded once per panel, and each streamed `B`
+/// tile is checked out of the store's residency cache just before its
+/// traversal (no read-ahead). So the result — every field — is
+/// **bit-identical** to the in-RAM run and to [`reference_run`] (the
+/// property suite pins it).
 ///
 /// `config.grid` and `config.auto_plan` are ignored: a spilled run is
 /// always panel-mode (a private driver per (panel, block) unit has no
@@ -1005,33 +927,15 @@ pub fn clear_scratch_pool() {
 ///
 /// As [`run_with_threads`], plus [`ConfigError::SpillTileMismatch`] when
 /// `config.cols_b` differs from the tile width the spill file was written
-/// with, and [`EngineError::Spill`] when paging fails mid-run.
+/// with, and [`EngineError::Spill`] when paging fails mid-run — including
+/// `InvalidData` for a payload whose indices fall outside the matrix or
+/// their tile (checked as each panel and tile is paged in).
 pub fn run_spilled(
     store: &MmapStorage,
     config: &FunctionalConfig,
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
-    let n = store.nrows();
-    if n != store.ncols() {
-        return Err(ConfigError::NonSquare {
-            nrows: n,
-            ncols: store.ncols(),
-        }
-        .into());
-    }
-    if config.capacity == 0 {
-        return Err(ConfigError::ZeroCapacity.into());
-    }
-    if config.rows_a == 0 || config.cols_b == 0 {
-        return Err(ConfigError::ZeroTileDims {
-            rows_a: config.rows_a,
-            cols_b: config.cols_b,
-        }
-        .into());
-    }
-    if threads == 0 {
-        return Err(ConfigError::ZeroThreads.into());
-    }
+    validate((store.nrows(), store.ncols()), config, threads)?;
     if config.cols_b != store.tile_cols() {
         return Err(ConfigError::SpillTileMismatch {
             file_cols: store.tile_cols(),
@@ -1039,232 +943,211 @@ pub fn run_spilled(
         }
         .into());
     }
-    let plan = ExecutionPlan::new(n, n, config.rows_a, config.cols_b, config.mem_budget);
-    let n_a_tiles = plan.n_row_panels();
-    let dram_b_per_a_tile: u64 = store.nnz() as u64;
+    let n = store.nrows();
+    run_panels(store, config, &config.execution_plan(n, n), n, threads)
+}
 
-    // Panel costs from the resident row pointers — same formula as the
-    // in-RAM path, no I/O.
-    let costs: Vec<u128> = (0..n_a_tiles)
-        .map(|ti| {
-            let r = plan.panel_rows(ti);
-            store.row_range_nnz(r.start, r.end) as u128 + 1
-        })
-        .collect();
-    let panel_results = run_balanced(n_a_tiles, &costs, threads, |ti| {
-        run_spilled_panel(store, config, &plan, ti)
-    });
+/// Where the engine's operands live: the one seam between the panel
+/// pipeline and its operand homes. Everything above it — validation,
+/// costing, [`run_panel`], [`run_block_dispatch`]/[`run_block`], the
+/// sinks and the stitch — exists once and is monomorphized per home, so
+/// the resident hot loop compiles to a direct slice walk.
+trait Operand: Sync {
+    /// One streamed `B` column tile, held for a traversal.
+    type Tile<'t>
+    where
+        Self: 't;
 
-    let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-    row_ptr.push(0);
-    let mut cols: Vec<u32> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
-    let mut dram_a = 0u64;
-    let mut dram_b = 0u64;
-    let mut overbooked = 0usize;
-    for result in panel_results {
-        let p = result?;
-        for &len in &p.out.row_lens {
-            row_ptr.push(row_ptr.last().expect("non-empty") + len);
-        }
-        cols.extend_from_slice(&p.out.cols);
-        vals.extend_from_slice(&p.out.vals);
-        dram_a += p.dram_a_fetches;
-        dram_b += dram_b_per_a_tile;
-        overbooked += usize::from(p.overbooked);
+    /// Nonzeros of `A` (and of `B = Aᵀ`).
+    fn nnz(&self) -> usize;
+
+    /// Nonzeros of `A` rows `[m0, m1)`, without touching the payload.
+    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize;
+
+    /// Pages in the stationary panel of rows `[m0, m1)` and runs `f` over
+    /// it.
+    fn with_panel<R>(
+        &self,
+        m0: usize,
+        m1: usize,
+        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError>;
+
+    /// Checks out streamed tile `tj`.
+    fn tile(&self, tj: usize) -> std::io::Result<Self::Tile<'_>>;
+
+    /// The columns and values of `B` row `k` inside `tile` (global column
+    /// indices, ascending).
+    fn b_row<'t>(tile: &'t Self::Tile<'_>, k: usize) -> (&'t [u32], &'t [f64]);
+}
+
+/// The in-RAM operand home: `A` borrowed as CSR, `B = Aᵀ` transposed once
+/// per run and sliced per tile through a [`TileColPtr`] view (or, when the
+/// memory guard skips the view, by per-row binary search).
+struct Resident<'a> {
+    a: &'a CsrMatrix,
+    b: CsrMatrix,
+    b_tiles: Option<TileColPtr>,
+    cols_b: usize,
+}
+
+impl<'a> Resident<'a> {
+    /// Validated common setup for both grid modes: the streamed operand,
+    /// the execution plan, and (when the memory guard allows) the tile
+    /// column-pointer view.
+    fn setup(
+        a: &'a CsrMatrix,
+        config: &FunctionalConfig,
+        threads: usize,
+    ) -> Result<(Self, ExecutionPlan), ConfigError> {
+        validate((a.nrows(), a.ncols()), config, threads)?;
+        let b = a.transpose();
+        let n = a.nrows();
+        let plan = if config.auto_plan {
+            auto_execution_plan(a, config, CostModel::UNIFORM)
+        } else {
+            config.execution_plan(n, n)
+        };
+        // Column-pointer view of B at the tile grid: row k ∩ tile tj becomes
+        // an O(1) slice instead of a per-element partition_point. The view
+        // costs nrows × (n_tiles + 1) indices; when a degenerate tiling (tiny
+        // cols_b on a wide B) would make that dwarf the matrix itself, skip
+        // it and let traversals fall back to per-element range searches.
+        let n_b_tiles = plan.n_col_tiles();
+        let view_cells = b.nrows() * (n_b_tiles + 1);
+        let b_tiles = if view_cells <= 8 * b.nnz() + 4096 {
+            let view = b.tile_col_ptr(config.cols_b);
+            debug_assert_eq!(view.n_tiles(), n_b_tiles);
+            Some(view)
+        } else {
+            None
+        };
+        let cols_b = config.cols_b;
+        Ok((
+            Resident {
+                a,
+                b,
+                b_tiles,
+                cols_b,
+            },
+            plan,
+        ))
     }
-    let z = CsrMatrix::from_parts(n, n, row_ptr, cols, vals)
-        .expect("panel emission produces canonical CSR");
-    Ok(FunctionalResult {
-        z,
-        dram_a_fetches: dram_a,
-        dram_b_fetches: dram_b,
-        overbooked_a_tiles: overbooked,
-    })
 }
 
-/// [`run_panel`] against the spill tier: pages the panel's `A` payload in
-/// once, then runs the plan's blocks with each streamed `B` tile checked
-/// out of (and the next one prefetched into) the store's residency cache.
-fn run_spilled_panel(
-    store: &MmapStorage,
-    config: &FunctionalConfig,
-    plan: &ExecutionPlan,
-    ti: usize,
-) -> Result<PanelOutput, EngineError> {
-    let rows = plan.panel_rows(ti);
-    let (m0, m1) = (rows.start, rows.end);
-    let payload = store.load_panel(m0, m1)?;
-    let tile = SpilledPanel::new(&payload, m0);
-    let overbooked = tile.len() > config.capacity;
-    let panel_rows = m1 - m0;
-    let class = ShapeClass::of(panel_rows, plan.block_cols());
-    SCRATCH_POOL.with(|pool| {
-        pool.set_retention(config.mem_budget.limit_bytes());
-        let mut spa = pool.checkout_spa(class);
-        let mut out = pool.checkout_buffers(class);
-
-        let mut driver = TileDriver::new(tile, config).map_err(EngineError::from)?;
-        let multi_block = plan.n_col_blocks() > 1;
-        if multi_block {
-            out.ensure_staged_rows(panel_rows);
-        }
-
-        for unit in plan.panel_units(ti) {
-            let sink = if multi_block {
-                BlockSink::Staged(&mut out.staged[..panel_rows])
-            } else {
-                let PanelBuffers {
-                    row_lens,
-                    cols,
-                    vals,
-                    ..
-                } = &mut *out;
-                BlockSink::Direct {
-                    row_lens,
-                    cols,
-                    vals,
-                }
-            };
-            // Kernel dispatch parity with the in-RAM path: the same
-            // predicted-fill inputs (panel occupancy, block occupancy,
-            // nnz) read from the resident row pointers.
-            if dense_kernel_for_spilled(store, &unit) {
-                run_spill_block(&mut DenseMode(&mut spa), &mut driver, store, &unit, sink)?;
-            } else {
-                run_spill_block(&mut *spa, &mut driver, store, &unit, sink)?;
-            }
-        }
-
-        if multi_block {
-            merge_staged(&mut out, panel_rows);
-        }
-
-        Ok(PanelOutput {
-            out,
-            dram_a_fetches: driver.fetches(),
-            overbooked,
-        })
-    })
+/// A column tile of the resident `B`: the matrix's own slices plus how to
+/// find each row's segment inside the tile.
+struct ResidentTile<'t> {
+    row_ptr: &'t [usize],
+    cols: &'t [u32],
+    vals: &'t [f64],
+    view: Option<&'t TileColPtr>,
+    tj: usize,
+    /// Tile column range `[n0, n1)`, for the view-less fallback search.
+    n0: u32,
+    n1: u32,
 }
 
-/// [`dense_kernel_for`] with its inputs read from the spill store's
-/// resident row pointers — identical arithmetic, so a spilled run makes
-/// exactly the per-unit kernel choices the in-RAM run makes.
-fn dense_kernel_for_spilled(store: &MmapStorage, unit: &PlanUnit) -> bool {
-    let slots = unit.rows.len() as f64 * unit.cols.len() as f64;
-    let nnz = store.nnz() as f64;
-    if slots == 0.0 || nnz == 0.0 {
-        return false;
+impl Operand for Resident<'_> {
+    type Tile<'t>
+        = ResidentTile<'t>
+    where
+        Self: 't;
+
+    fn nnz(&self) -> usize {
+        self.a.nnz()
     }
-    let occ_panel = store.row_range_nnz(unit.rows.start, unit.rows.end) as f64;
-    let occ_block = store.row_range_nnz(unit.cols.start, unit.cols.end) as f64;
-    occ_panel * occ_block >= DENSE_FILL_THRESHOLD * slots * nnz
-}
 
-/// [`run_block`] against the spill tier: every streamed tile of the block
-/// is checked out of the store's cache (its `Arc` keeps it alive across
-/// eviction) and the *next* tile in plan order is prefetched before the
-/// traversal starts. Tile payloads carry global column indices and
-/// per-`B`-row slices, so the traversal body is the in-RAM one verbatim.
-fn run_spill_block<A: UnitSpa>(
-    spa: &mut A,
-    driver: &mut TileDriver<SpilledPanel<'_>>,
-    store: &MmapStorage,
-    unit: &PlanUnit,
-    sink: BlockSink<'_>,
-) -> Result<(), EngineError> {
-    let (m0, c0) = (unit.rows.start, unit.cols.start);
-    spa.reset_shape(unit.rows.len(), unit.cols.len());
-    for tj in unit.tiles.clone() {
-        let tile_b = match store.checkout_tile(tj) {
-            Ok(t) => t,
-            Err(e) => {
-                // Restore the all-zero invariant before propagating.
-                spa.clear();
-                return Err(e.into());
+    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize {
+        self.a.row_range_nnz(m0, m1)
+    }
+
+    fn with_panel<R>(
+        &self,
+        m0: usize,
+        m1: usize,
+        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        let a = self.a;
+        f(PanelElems::new(
+            &a.row_ptr()[m0..=m1],
+            a.col_indices(),
+            a.values(),
+            m0,
+        ))
+    }
+
+    fn tile(&self, tj: usize) -> std::io::Result<ResidentTile<'_>> {
+        let n = self.b.ncols();
+        Ok(ResidentTile {
+            row_ptr: self.b.row_ptr(),
+            cols: self.b.col_indices(),
+            vals: self.b.values(),
+            view: self.b_tiles.as_ref(),
+            tj,
+            n0: (tj * self.cols_b) as u32,
+            n1: ((tj + 1) * self.cols_b).min(n) as u32,
+        })
+    }
+
+    // Called once per stationary element from both kernel instantiations;
+    // left to a plain `#[inline]` hint, LLVM outlines it and the hot loop
+    // pays a call per element.
+    #[inline(always)]
+    fn b_row<'t>(tile: &'t ResidentTile<'_>, k: usize) -> (&'t [u32], &'t [f64]) {
+        let (lo, hi) = match tile.view {
+            Some(view) => view.row_tile_range(k, tile.tj),
+            None => {
+                let (rlo, rhi) = (tile.row_ptr[k], tile.row_ptr[k + 1]);
+                let coords = &tile.cols[rlo..rhi];
+                let start = rlo + coords.partition_point(|&c| c < tile.n0);
+                let end = rlo + coords.partition_point(|&c| c < tile.n1);
+                (start, end)
             }
         };
-        if tj + 1 < store.n_tiles() {
-            // Warm the cache for the next tile in plan order. A prefetch
-            // failure is not fatal here: the demand checkout that
-            // actually needs the tile reports it.
-            let _ = store.prefetch(tj + 1);
-        }
-        let traversed = driver.traverse(|&(m, k, va)| {
-            let (lo, hi) = (tile_b.row_ptr[k as usize], tile_b.row_ptr[k as usize + 1]);
-            let local_row = m as usize - m0;
-            for (&nn, &vb) in tile_b.cols[lo..hi].iter().zip(&tile_b.vals[lo..hi]) {
-                spa.accumulate(local_row, nn as usize - c0, va * vb);
-            }
-        });
-        if let Err(e) = traversed {
-            spa.clear();
-            return Err(e.into());
-        }
+        (&tile.cols[lo..hi], &tile.vals[lo..hi])
     }
-    match sink {
-        BlockSink::Staged(staged) => {
-            for (lr, (row_cols, row_vals)) in staged.iter_mut().enumerate() {
-                spa.drain_row(lr, c0 as u32, row_cols, row_vals);
-            }
-        }
-        BlockSink::Direct {
-            row_lens,
-            cols,
-            vals,
-        } => {
-            for lr in 0..unit.rows.len() {
-                let before = cols.len();
-                spa.drain_row(lr, c0 as u32, cols, vals);
-                row_lens.push(cols.len() - before);
-            }
-        }
-    }
-    Ok(())
 }
 
-/// A paged-in row panel of the spilled stationary operand, viewed as a
-/// [`TileSource`]: the payload's row pointers are rebased to the panel,
-/// so the flat element index *is* the payload index.
-struct SpilledPanel<'a> {
-    payload: &'a PanelPayload,
-    /// Amortized-O(1) row lookup, exactly as in [`PanelElems`].
-    cursor: core::cell::Cell<usize>,
-    m0: usize,
-}
+/// The spill-tier operand home: each panel's `A` payload is loaded from
+/// the file, each `B` tile is checked out of the residency cache (its
+/// `Arc` keeps it alive across eviction). Both are index-checked as they
+/// page in, so a corrupt file fails with `InvalidData` before any
+/// traversal reads from it.
+impl Operand for MmapStorage {
+    type Tile<'t> = Arc<SpillTile>;
 
-impl<'a> SpilledPanel<'a> {
-    fn new(payload: &'a PanelPayload, m0: usize) -> Self {
-        SpilledPanel {
-            payload,
-            cursor: core::cell::Cell::new(0),
+    fn nnz(&self) -> usize {
+        MmapStorage::nnz(self)
+    }
+
+    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize {
+        MmapStorage::row_range_nnz(self, m0, m1)
+    }
+
+    fn with_panel<R>(
+        &self,
+        m0: usize,
+        m1: usize,
+        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        let payload = self.load_panel(m0, m1)?;
+        f(PanelElems::new(
+            &payload.row_ptr,
+            &payload.cols,
+            &payload.vals,
             m0,
-        }
-    }
-}
-
-impl TileSource for SpilledPanel<'_> {
-    fn len(&self) -> usize {
-        self.payload.cols.len()
+        ))
     }
 
-    fn get(&self, i: usize) -> Elem {
-        debug_assert!(i < self.len());
-        let rp = &self.payload.row_ptr;
-        let mut lr = self.cursor.get();
-        if i < rp[lr] {
-            lr = 0;
-        }
-        while i >= rp[lr + 1] {
-            lr += 1;
-        }
-        self.cursor.set(lr);
-        (
-            (self.m0 + lr) as u32,
-            self.payload.cols[i],
-            self.payload.vals[i],
-        )
+    fn tile(&self, tj: usize) -> std::io::Result<Arc<SpillTile>> {
+        self.checkout_tile(tj)
+    }
+
+    #[inline]
+    fn b_row(tile: &Arc<SpillTile>, k: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (tile.row_ptr[k], tile.row_ptr[k + 1]);
+        (&tile.cols[lo..hi], &tile.vals[lo..hi])
     }
 }
 
@@ -1279,12 +1162,15 @@ trait TileSource {
     fn get(&self, i: usize) -> Elem;
 }
 
-/// A row panel of a CSR matrix viewed in place — no materialization; flat
-/// indices address the matrix's own nonzero arrays.
+/// A stationary row panel viewed in place over CSR slices — no
+/// materialization. `row_ptr` spans the panel's rows `m0..=m1` and is
+/// either absolute (a resident matrix's own pointers into its whole
+/// `cols`/`vals`) or rebased to 0 (a paged-in payload); flat index `i`
+/// addresses `cols`/`vals` at `row_ptr[0] + i` either way.
 struct PanelElems<'a> {
-    a: &'a CsrMatrix,
-    /// Row pointers of rows `m0..=m1`, re-based at the panel.
     row_ptr: &'a [usize],
+    cols: &'a [u32],
+    vals: &'a [f64],
     /// Last resolved local row — buffer fetches walk the tile in stream
     /// order (monotone, wrapping cyclically under overbooking), so row
     /// lookup from the hint is amortized O(1).
@@ -1295,15 +1181,16 @@ struct PanelElems<'a> {
 }
 
 impl<'a> PanelElems<'a> {
-    fn new(a: &'a CsrMatrix, m0: usize, m1: usize) -> Self {
-        let rp = a.row_ptr();
+    fn new(row_ptr: &'a [usize], cols: &'a [u32], vals: &'a [f64], m0: usize) -> Self {
+        let base = row_ptr[0];
         PanelElems {
-            a,
-            row_ptr: &rp[m0..=m1],
+            row_ptr,
+            cols,
+            vals,
             cursor: core::cell::Cell::new(0),
             m0,
-            base: rp[m0],
-            len: a.row_range_nnz(m0, m1),
+            base,
+            len: row_ptr[row_ptr.len() - 1] - base,
         }
     }
 }
@@ -1327,11 +1214,7 @@ impl TileSource for PanelElems<'_> {
             lr += 1;
         }
         self.cursor.set(lr);
-        (
-            (self.m0 + lr) as u32,
-            self.a.col_indices()[p],
-            self.a.values()[p],
-        )
+        ((self.m0 + lr) as u32, self.cols[p], self.vals[p])
     }
 }
 
@@ -1512,7 +1395,7 @@ pub fn reference_run(
 
     // The oracle ignores the thread count; validate with the always-legal 1
     // so it rejects exactly the configurations the rewritten engine rejects.
-    validate(a, config, 1)?;
+    validate((a.nrows(), a.ncols()), config, 1)?;
     let b = a.transpose();
     let n = a.nrows();
     let n_a_tiles = n.div_ceil(config.rows_a.max(1));
@@ -1869,16 +1752,15 @@ mod tests {
             grid: GridMode::Panels,
             auto_plan: false,
         };
-        let plan = config.execution_plan(a.nrows(), a.ncols());
-        let unit = plan.unit(0, 0);
+        let (op, plan) = Resident::setup(&a, &config, 1).unwrap();
         assert!(
-            dense_kernel_for(&a, &unit),
+            dense_kernel_for(&op, &plan.unit(0, 0)),
             "a 60%-dense unit must pick the dense kernel"
         );
         // And a sparse matrix must not.
         let sparse = small();
-        let splan = config.execution_plan(sparse.nrows(), sparse.ncols());
-        assert!(!dense_kernel_for(&sparse, &splan.unit(0, 0)));
+        let (sop, splan) = Resident::setup(&sparse, &config, 1).unwrap();
+        assert!(!dense_kernel_for(&sop, &splan.unit(0, 0)));
         // The dispatched run stays bit-identical to the seed engine.
         let new = run_with_threads(&a, &config, 2).unwrap();
         let old = reference_run(&a, &config).unwrap();
@@ -2062,13 +1944,19 @@ mod tests {
     fn panel_elems_maps_flat_indices_through_empty_rows() {
         // Rows 1 and 2 are empty; flat indices must land in rows 0 and 3.
         let a = CsrMatrix::from_triplets(4, 4, &[(0, 0, 1.0), (0, 2, 2.0), (3, 1, 3.0)]).unwrap();
-        let panel = PanelElems::new(&a, 0, 4);
+        let (rp, cols, vals) = (a.row_ptr(), a.col_indices(), a.values());
+        let panel = PanelElems::new(rp, cols, vals, 0);
         assert_eq!(panel.len(), 3);
         assert_eq!(panel.get(0), (0, 0, 1.0));
         assert_eq!(panel.get(1), (0, 2, 2.0));
         assert_eq!(panel.get(2), (3, 1, 3.0));
-        let tail = PanelElems::new(&a, 2, 4);
+        let tail = PanelElems::new(&rp[2..=4], cols, vals, 2);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail.get(0), (3, 1, 3.0));
+        // The same tail as a paged-in payload: rebased pointers over the
+        // panel's own slices.
+        let paged = PanelElems::new(&[0, 0, 1], &[1], &[3.0], 2);
+        assert_eq!(paged.len(), 1);
+        assert_eq!(paged.get(0), (3, 1, 3.0));
     }
 }

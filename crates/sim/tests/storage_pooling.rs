@@ -4,7 +4,8 @@
 //! collisions, pool eviction under tight `MemBudget`, 1/4/8 threads),
 //! and spilled runs ([`run_spilled`] over a file-backed operand paged in
 //! panel-by-panel and tile-by-tile) diff clean against `reference_run`
-//! in every reported field.
+//! in every reported field. Also pins the spill tier's page-in index
+//! checks and the typed configuration errors every entry point shares.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -12,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use tailors_sim::functional::{
     clear_scratch_pool, reference_run, run_spilled, run_with_threads, scratch_pool_stats,
-    FunctionalConfig,
+    ConfigError, EngineError, FunctionalConfig,
 };
 use tailors_sim::{GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
@@ -226,7 +227,6 @@ fn tight_budget_evicts_pool_inventory_without_changing_results() {
 /// Mismatched `cols_b` is a typed config error, not a wrong answer.
 #[test]
 fn spill_tile_mismatch_is_rejected() {
-    use tailors_sim::functional::{ConfigError, EngineError};
     let a = GenSpec::uniform(32, 32, 150).seed(3).generate();
     let path = unique_spill_path("mismatch");
     MmapStorage::store(&a, 8, &path).expect("store spill file");
@@ -241,4 +241,124 @@ fn spill_tile_mismatch_is_rejected() {
         })
     );
     std::fs::remove_file(&path).ok();
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")) as usize
+}
+
+/// A spill file with one index overwritten still opens (the header, row
+/// pointers and offsets are intact), but paging the bad panel or tile in
+/// is a typed `InvalidData` error: an `A` column `>= ncols` (which would
+/// index past `B`'s rows) and a `B` column moved into a neighbouring tile
+/// (which would silently land in the wrong output column).
+#[test]
+fn corrupt_spill_indices_are_rejected_at_page_in() {
+    let a = GenSpec::uniform(32, 32, 150).seed(3).generate();
+    let (n, tile_cols) = (32usize, 8usize);
+    let path = unique_spill_path("corrupt");
+    MmapStorage::store(&a, tile_cols, &path).expect("store spill file");
+    let bytes = std::fs::read(&path).expect("read spill file");
+    std::fs::remove_file(&path).ok();
+
+    // TSPILL01 layout: magic + 5 header words, A row pointers, tile
+    // offsets, A columns, A values, then one B segment per tile (row
+    // pointers, columns, values).
+    let n_tiles = n.div_ceil(tile_cols);
+    let tile_offsets_at = 8 + 5 * 8 + (n + 1) * 8;
+    let a_cols_at = tile_offsets_at + (n_tiles + 1) * 8;
+    let tile0_at = read_u64(&bytes, tile_offsets_at);
+    assert!(
+        read_u64(&bytes, tile0_at + n * 8) > 0,
+        "tile 0 must hold a nonzero to corrupt"
+    );
+    let tile0_cols_at = tile0_at + (n + 1) * 8;
+
+    // Unbounded budget: one block spans every tile, so a column moved
+    // into tile 1 still fits the block's scratch.
+    let cfg = config(32, 50, 8, tile_cols, true, MemBudget::Unbounded);
+    for (tag, at, value) in [
+        ("a_col_out_of_range", a_cols_at, n as u32),
+        ("b_col_outside_tile", tile0_cols_at, tile_cols as u32),
+    ] {
+        let mut corrupt = bytes.clone();
+        corrupt[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let path = unique_spill_path(tag);
+        std::fs::write(&path, &corrupt).expect("write corrupt spill file");
+        let store = MmapStorage::open(&path, None).expect("structure is intact");
+        let got = run_spilled(&store, &cfg, 1).map(|_| ());
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            got,
+            Err(EngineError::Spill(std::io::ErrorKind::InvalidData)),
+            "{tag}"
+        );
+    }
+}
+
+/// One table of degenerate configurations, each rejected with the same
+/// typed [`ConfigError`] by every entry point: the in-RAM engine in both
+/// grid modes, the spilled engine and the seed oracle (which has no
+/// thread count, so it skips the `threads == 0` row). A non-square
+/// operand is checked on the CSR entry points; a spill file always
+/// stores a square `A·Aᵀ` operand pair.
+#[test]
+fn config_errors_match_across_entry_points() {
+    let a = GenSpec::uniform(32, 32, 150).seed(3).generate();
+    let path = unique_spill_path("parity");
+    MmapStorage::store(&a, 8, &path).expect("store spill file");
+    let store = MmapStorage::open(&path, None).expect("open spill file");
+    std::fs::remove_file(&path).ok();
+    let ok = config(32, 50, 8, 8, true, MemBudget::Unbounded);
+    let table = [
+        (
+            FunctionalConfig { capacity: 0, ..ok },
+            1,
+            ConfigError::ZeroCapacity,
+        ),
+        (
+            FunctionalConfig { rows_a: 0, ..ok },
+            1,
+            ConfigError::ZeroTileDims {
+                rows_a: 0,
+                cols_b: 8,
+            },
+        ),
+        (
+            FunctionalConfig { cols_b: 0, ..ok },
+            1,
+            ConfigError::ZeroTileDims {
+                rows_a: 8,
+                cols_b: 0,
+            },
+        ),
+        (ok, 0, ConfigError::ZeroThreads),
+    ];
+    for (cfg, threads, err) in table {
+        let want = Err(EngineError::Config(err));
+        for grid in [GridMode::Panels, GridMode::Grid2D] {
+            let got = run_with_threads(&a, &FunctionalConfig { grid, ..cfg }, threads);
+            assert_eq!(got.map(|_| ()), want, "run_with_threads {grid}: {err}");
+        }
+        let got = run_spilled(&store, &cfg, threads).map(|_| ());
+        assert_eq!(got, want, "run_spilled: {err}");
+        if threads > 0 {
+            assert_eq!(
+                reference_run(&a, &cfg).map(|_| ()),
+                want,
+                "reference_run: {err}"
+            );
+        }
+    }
+
+    let wide = GenSpec::uniform(16, 24, 60).seed(1).generate();
+    let want = Err(EngineError::Config(ConfigError::NonSquare {
+        nrows: 16,
+        ncols: 24,
+    }));
+    for grid in [GridMode::Panels, GridMode::Grid2D] {
+        let got = run_with_threads(&wide, &FunctionalConfig { grid, ..ok }, 1);
+        assert_eq!(got.map(|_| ()), want, "run_with_threads {grid}");
+    }
+    assert_eq!(reference_run(&wide, &ok).map(|_| ()), want, "reference_run");
 }

@@ -4,9 +4,6 @@
 //! heap-allocated `Vec` per run. This module makes the answer a policy by
 //! splitting *what* a buffer is from *where its bytes come from*:
 //!
-//! * [`HeapStorage`] — today's behaviour, the default: every checkout is a
-//!   fresh allocation, every return frees it. Bit-identical to the
-//!   pre-storage engine by construction.
 //! * [`SlabStorage`] — a keyed arena that recycles allocations by
 //!   [`ShapeClass`] (power-of-two buckets of a plan unit's rows × width).
 //!   Checkout pops a warm buffer and [`PoolItem::prepare`]s it; dropping
@@ -19,13 +16,16 @@
 //!   on demand through a clock-LRU tile cache bounded by a byte budget.
 //!   This is the spill tier that lets matrices larger than RAM stream
 //!   through the planner's existing row-panel × column-block working sets.
+//!   Every payload is index-checked as it pages in, so a corrupt file is an
+//!   `InvalidData` error, never an out-of-range index downstream.
 //!
 //! The engine-facing composition is [`ScratchPool`]: one slab per scratch
 //! family (SPA accumulators, panel triplet buffers), kept per worker
 //! thread by `tailors_sim::functional` so steady-state serving performs no
 //! heap allocation in the kernel + assembly path. Pooling can be disabled
-//! globally with [`set_pooling`] — results are bit-identical either way,
-//! only allocation behaviour differs.
+//! globally with [`set_pooling`] (checkouts then degrade to
+//! [`PoolHandle::detached`] heap buffers) — results are bit-identical
+//! either way, only allocation behaviour differs.
 
 use crate::ops::BlockedSpa;
 use crate::CsrMatrix;
@@ -35,30 +35,6 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// A source of buffers: checkout by key, release by dropping the handle.
-///
-/// The three backends share this surface so engine code can be written
-/// against "a place buffers come from" without naming the policy:
-/// [`HeapStorage`] and [`SlabStorage`] are keyed by [`ShapeClass`] and
-/// hand out owned [`PoolHandle`]s; [`MmapStorage`] is keyed by column-tile
-/// index and hands out shared [`SpillTile`]s.
-pub trait Storage<T: ?Sized> {
-    /// What selects a buffer: a shape class for scratch arenas, a tile
-    /// index for the spill tier.
-    type Key: Copy;
-    /// The checked-out buffer; dropping it releases the checkout.
-    type Handle: core::ops::Deref<Target = T>;
-
-    /// Checks a buffer out. Heap and slab backends cannot fail; the spill
-    /// tier surfaces I/O errors.
-    fn checkout(&self, key: Self::Key) -> io::Result<Self::Handle>;
-
-    /// Bytes this backend currently holds resident on behalf of *idle*
-    /// buffers (slab inventory, cached spill tiles). Checked-out handles
-    /// are the caller's to account.
-    fn resident_bytes(&self) -> u64;
-}
 
 // ---------------------------------------------------------------------------
 // Shape classes
@@ -359,22 +335,9 @@ fn evict_over_cap<T: PoolItem>(st: &mut SlabState<T>) {
     st.stats.resident_bytes = st.resident_bytes;
 }
 
-impl<T: PoolItem> Storage<T> for SlabStorage<T> {
-    type Key = ShapeClass;
-    type Handle = PoolHandle<T>;
-
-    fn checkout(&self, key: ShapeClass) -> io::Result<PoolHandle<T>> {
-        Ok(SlabStorage::checkout(self, key))
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        lock_state(&self.state).resident_bytes
-    }
-}
-
 /// An owned, prepared buffer checked out of a [`SlabStorage`] (or
-/// detached, for the heap-backed default). Dropping it returns the buffer
-/// to its slab — or frees it, if detached.
+/// [`detached`](PoolHandle::detached) when pooling is off). Dropping it
+/// returns the buffer to its slab — or frees it, if detached.
 #[derive(Debug)]
 pub struct PoolHandle<T: PoolItem> {
     /// `Some` until drop; taken exactly once by `Drop`.
@@ -384,8 +347,8 @@ pub struct PoolHandle<T: PoolItem> {
 }
 
 impl<T: PoolItem> PoolHandle<T> {
-    /// A slab-less handle: a fresh prepared buffer, freed on drop. This is
-    /// [`HeapStorage`]'s checkout and the pooling-disabled fallback.
+    /// A slab-less handle: a fresh prepared buffer, freed on drop — the
+    /// pooling-disabled fallback.
     pub fn detached(class: ShapeClass) -> Self {
         let mut item = T::default();
         item.prepare(class);
@@ -426,24 +389,6 @@ impl<T: PoolItem> Drop for PoolHandle<T> {
             evict_over_cap(&mut st);
         }
         // Detached: the item (if any) drops here, freeing its heap.
-    }
-}
-
-/// The default backend: every checkout is a fresh allocation, freed when
-/// the handle drops. Exactly the engine's pre-storage behaviour.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeapStorage;
-
-impl<T: PoolItem> Storage<T> for HeapStorage {
-    type Key = ShapeClass;
-    type Handle = PoolHandle<T>;
-
-    fn checkout(&self, key: ShapeClass) -> io::Result<PoolHandle<T>> {
-        Ok(PoolHandle::detached(key))
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        0
     }
 }
 
@@ -869,6 +814,12 @@ impl MmapStorage {
 
     /// Reads the `A` payload for rows `[m0, m1)`: rebased row pointers
     /// plus the panel's column/value slices.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the read, and `InvalidData` when any column index
+    /// is `≥ ncols` (a corrupt payload must not reach the traversal, which
+    /// indexes `B` rows by these columns).
     pub fn load_panel(&self, m0: usize, m1: usize) -> io::Result<PanelPayload> {
         assert!(m0 <= m1 && m1 <= self.nrows, "panel range out of bounds");
         let (s, e) = (self.a_row_ptr[m0], self.a_row_ptr[m1]);
@@ -888,9 +839,13 @@ impl MmapStorage {
             st.stats.panel_loads += 1;
             st.stats.bytes_read += (n * 12) as u64;
         }
+        let cols = parse_u32s(&cols_bytes);
+        if cols.iter().any(|&c| c as usize >= self.ncols) {
+            return Err(bad("spill panel column index out of range"));
+        }
         Ok(PanelPayload {
             row_ptr,
-            cols: parse_u32s(&cols_bytes),
+            cols,
             vals: parse_f64s(&vals_bytes),
         })
     }
@@ -898,6 +853,13 @@ impl MmapStorage {
     /// Checks out `B` column tile `tile`, reading it from disk unless it
     /// is cache-resident. The returned `Arc` keeps the tile alive even if
     /// the cache evicts it while the caller still traverses it.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the read, and `InvalidData` for a corrupt segment:
+    /// malformed row pointers, or any column outside the tile's range
+    /// `[tile · tile_cols, min((tile + 1) · tile_cols, ncols))`. A
+    /// rejected tile is not cached.
     pub fn checkout_tile(&self, tile: usize) -> io::Result<Arc<SpillTile>> {
         assert!(tile < self.n_tiles, "tile index out of range");
         let mut st = lock_spill(&self.state);
@@ -926,9 +888,17 @@ impl MmapStorage {
         {
             return Err(bad("corrupt spill tile row pointers"));
         }
+        let cols = parse_u32s(&seg[rp_bytes..rp_bytes + tnnz * 4]);
+        let (lo, hi) = (
+            tile * self.tile_cols,
+            ((tile + 1) * self.tile_cols).min(self.ncols),
+        );
+        if cols.iter().any(|&c| !(lo..hi).contains(&(c as usize))) {
+            return Err(bad("spill tile column index outside its tile"));
+        }
         let arc = Arc::new(SpillTile {
             row_ptr: row_ptr_u64.into_iter().map(|p| p as usize).collect(),
-            cols: parse_u32s(&seg[rp_bytes..rp_bytes + tnnz * 4]),
+            cols,
             vals: parse_f64s(&seg[rp_bytes + tnnz * 4..]),
         });
         let bytes = arc.payload_bytes();
@@ -960,30 +930,10 @@ impl MmapStorage {
         st.stats.resident_bytes = st.resident;
         Ok(arc)
     }
-
-    /// Warms the cache for `tile` (checkout, result discarded). The
-    /// engine calls this for the *next* tile in plan order while the
-    /// current one is being traversed.
-    pub fn prefetch(&self, tile: usize) -> io::Result<()> {
-        self.checkout_tile(tile).map(|_| ())
-    }
 }
 
 fn lock_spill(state: &Mutex<SpillState>) -> MutexGuard<'_, SpillState> {
     state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-impl Storage<SpillTile> for MmapStorage {
-    type Key = usize;
-    type Handle = Arc<SpillTile>;
-
-    fn checkout(&self, key: usize) -> io::Result<Arc<SpillTile>> {
-        self.checkout_tile(key)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        lock_spill(&self.state).resident
-    }
 }
 
 #[cfg(test)]
