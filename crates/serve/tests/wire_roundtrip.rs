@@ -6,12 +6,20 @@
 use proptest::prelude::*;
 
 use tailors_serve::wire::{
-    decode_reply, decode_request_line, encode_reply_into, encode_request_into, Json, WireRequest,
+    decode_reply, decode_request_line, encode_malformed_reply_into, encode_ping_into,
+    encode_pong_into, encode_reply_into, encode_request_flagged_into, encode_request_into, Json,
+    WireRequest,
 };
-use tailors_serve::{FunctionalRequest, OverloadReason, Reply, ServeError, SimRequest, Work};
+use tailors_serve::{
+    FunctionalRequest, OverloadReason, Reply, RuntimeStats, ServeError, SimRequest, WireError, Work,
+};
 use tailors_sim::functional::{FunctionalConfig, FunctionalResult};
-use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
+use tailors_sim::{
+    ActivityCounts, ArchConfig, DramBreakdown, GridMode, MemBudget, ReuseStats, RunMetrics,
+    ScratchStats, TilePlan, Variant,
+};
 use tailors_tensor::gen::GenSpec;
+use tailors_tensor::CsrMatrix;
 use tailors_workloads::{Workload, WorkloadClass};
 
 const NAMES: [&str; 5] = [
@@ -283,4 +291,284 @@ proptest! {
         let mutated = String::from_utf8_lossy(&bytes).into_owned();
         let _ = decode_request_line(&mutated);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Byte-exact transcript: literal lines pin the wire format itself, so a
+// codec rewrite cannot drift a single byte without failing here. Each
+// line is checked both ways: the encoder must produce it verbatim, and
+// decoding it then re-encoding must reproduce it.
+// ---------------------------------------------------------------------------
+
+fn transcript_workload() -> Workload {
+    Workload {
+        name: "email-Enron",
+        nrows: 145,
+        ncols: 145,
+        target_nnz: 1_342,
+        class: WorkloadClass::Graph,
+        paper_sparsity: 0.99973,
+        variability: -0.0,
+        seed: 111,
+    }
+}
+
+fn transcript_sim_request() -> SimRequest {
+    SimRequest {
+        workload: transcript_workload(),
+        variant: Variant::ExTensorOB { y: 0.1, k: 10 },
+        arch: ArchConfig {
+            gb_bytes: 122_880,
+            pe_buf_bytes: 256,
+            pe_count: 128,
+            bytes_per_element: 12,
+            dram_bytes_per_cycle: 68.25,
+            gb_elems_per_cycle: 256.0,
+            isect_coords_per_cycle: 256.0,
+            macs_per_pe_per_cycle: 1.0,
+            operand_fraction: 0.4,
+            dram_latency_cycles: 100,
+            gb_latency_cycles: 10,
+        },
+        budget: MemBudget::Unbounded,
+        grid: GridMode::Panels,
+        auto_plan: false,
+    }
+}
+
+fn transcript_functional_request() -> FunctionalRequest {
+    FunctionalRequest {
+        workload: transcript_workload(),
+        variant: Variant::ExTensorP,
+        arch: ArchConfig {
+            gb_bytes: 31_457_280,
+            pe_buf_bytes: 65_536,
+            ..transcript_sim_request().arch
+        },
+        budget: MemBudget::Bytes(1 << 20),
+        grid: GridMode::Grid2D,
+        auto_plan: true,
+        threads: 2,
+    }
+}
+
+fn transcript_sim_reply() -> Reply {
+    Reply::Sim(tailors_serve::SimResponse {
+        name: "email-Enron",
+        metrics: RunMetrics {
+            cycles: 12_345.5,
+            energy_pj: f64::NAN,
+            activity: ActivityCounts {
+                dram_elems: 1,
+                gb_accesses: u128::MAX,
+                pe_buf_accesses: 3,
+                macs: 4,
+                isect_coords: 0,
+            },
+            dram: DramBreakdown {
+                total: 10,
+                baseline: 8,
+                overbook_extra: 2,
+            },
+            reuse: ReuseStats {
+                bumped_fraction: 0.25,
+                reused_fraction: 0.75,
+                overbooked_a_tiles: 3,
+                total_a_tiles: 12,
+                overbooked_b_tiles: 0,
+                total_b_tiles: 6,
+            },
+            plan: TilePlan {
+                gb_rows_a: 16,
+                gb_cols_b: 32,
+                pe_rows_a: 4,
+                pe_cols_b: 8,
+                full_k: true,
+                overbooking: false,
+            },
+            scratch: ScratchStats {
+                col_blocks: 1,
+                block_cols: 145,
+                bytes_per_thread: 1_160,
+                fits_budget: true,
+                grid: GridMode::Grid2D,
+                parallel_units: 5,
+            },
+            bound_by: "dram",
+        },
+        hits: tailors_serve::CacheHits {
+            tensor: true,
+            profile: true,
+            plan: false,
+        },
+    })
+}
+
+fn transcript_functional_reply() -> Reply {
+    let z = CsrMatrix::from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.5, -0.0, 1e-300])
+        .expect("valid CSR");
+    Reply::Functional(Box::new(tailors_serve::FunctionalResponse {
+        config: FunctionalConfig {
+            capacity: 64,
+            fifo_region: 8,
+            rows_a: 2,
+            cols_b: 3,
+            overbooking: true,
+            mem_budget: MemBudget::Unbounded,
+            grid: GridMode::Panels,
+            auto_plan: false,
+        },
+        result: FunctionalResult {
+            z,
+            dram_a_fetches: 7,
+            dram_b_fetches: 9,
+            overbooked_a_tiles: 1,
+        },
+        hits: tailors_serve::CacheHits {
+            tensor: false,
+            profile: true,
+            plan: true,
+        },
+    }))
+}
+
+fn transcript_errors() -> Vec<ServeError> {
+    vec![
+        ServeError::Overloaded(OverloadReason::MailboxFull { capacity: 64 }),
+        ServeError::Overloaded(OverloadReason::TensorBytes {
+            estimated: 10,
+            limit: 5,
+        }),
+        ServeError::Overloaded(OverloadReason::PlanPressure {
+            pressure: 1.0,
+            hit_rate: 0.125,
+        }),
+        ServeError::Timeout {
+            deadline: std::time::Duration::new(1, 500),
+        },
+        ServeError::Faulted {
+            panic: true,
+            message: "quote \" slash \\ nl \n cr \r tab \t bell \u{7} é ✓ 𝄞".into(),
+        },
+        ServeError::BadRequest("no such workload".into()),
+        ServeError::Shutdown,
+    ]
+}
+
+fn encode_reply(id: Option<u64>, outcome: &Result<Reply, ServeError>) -> String {
+    let mut line = String::new();
+    encode_reply_into(id, outcome, &mut line);
+    line
+}
+
+/// `line` decodes as a request and re-encodes to itself.
+fn assert_request_fixed_point(line: &str) {
+    let (id, decoded) = decode_request_line(line).expect("transcript request decodes");
+    let mut again = String::new();
+    match decoded {
+        WireRequest::Work { work, warm } => {
+            encode_request_flagged_into(id, &work, warm, &mut again)
+        }
+        WireRequest::Ping => encode_ping_into(id, &mut again),
+    }
+    assert_eq!(again, line);
+}
+
+/// `line` decodes as a reply and re-encodes to itself.
+fn assert_reply_fixed_point(line: &str) {
+    let (id, outcome) = decode_reply(line).expect("transcript reply decodes");
+    assert_eq!(encode_reply(id, &outcome), line);
+}
+
+const SIM_REQUEST: &str = r#"{"id":1,"kind":"sim","req":{"workload":{"name":"email-Enron","nrows":145,"ncols":145,"target_nnz":1342,"class":"graph","paper_sparsity":4607179986856218628,"variability":9223372036854775808,"seed":111},"variant":{"kind":"ob","y":4591870180066957722,"k":10},"arch":{"gb_bytes":122880,"pe_buf_bytes":256,"pe_count":128,"bytes_per_element":12,"dram_bytes_per_cycle":4634503083726995456,"gb_elems_per_cycle":4643211215818981376,"isect_coords_per_cycle":4643211215818981376,"macs_per_pe_per_cycle":4607182418800017408,"operand_fraction":4600877379321698714,"dram_latency_cycles":100,"gb_latency_cycles":10},"budget":"unbounded","grid":"panels","auto_plan":false}}"#;
+
+const FUNCTIONAL_REQUEST: &str = r#"{"id":2,"kind":"functional","req":{"workload":{"name":"email-Enron","nrows":145,"ncols":145,"target_nnz":1342,"class":"graph","paper_sparsity":4607179986856218628,"variability":9223372036854775808,"seed":111},"variant":{"kind":"p"},"arch":{"gb_bytes":31457280,"pe_buf_bytes":65536,"pe_count":128,"bytes_per_element":12,"dram_bytes_per_cycle":4634503083726995456,"gb_elems_per_cycle":4643211215818981376,"isect_coords_per_cycle":4643211215818981376,"macs_per_pe_per_cycle":4607182418800017408,"operand_fraction":4600877379321698714,"dram_latency_cycles":100,"gb_latency_cycles":10},"budget":1048576,"grid":"grid2d","auto_plan":true,"threads":2}}"#;
+
+const WARM_REQUEST: &str = r#"{"id":3,"kind":"sim","req":{"workload":{"name":"email-Enron","nrows":145,"ncols":145,"target_nnz":1342,"class":"graph","paper_sparsity":4607179986856218628,"variability":9223372036854775808,"seed":111},"variant":{"kind":"ob","y":4591870180066957722,"k":10},"arch":{"gb_bytes":122880,"pe_buf_bytes":256,"pe_count":128,"bytes_per_element":12,"dram_bytes_per_cycle":4634503083726995456,"gb_elems_per_cycle":4643211215818981376,"isect_coords_per_cycle":4643211215818981376,"macs_per_pe_per_cycle":4607182418800017408,"operand_fraction":4600877379321698714,"dram_latency_cycles":100,"gb_latency_cycles":10},"budget":"unbounded","grid":"panels","auto_plan":false},"warm":true}"#;
+
+const PING: &str = r#"{"id":4,"kind":"ping"}"#;
+
+const PONG: &str = r#"{"id":4,"ok":{"kind":"pong","stats":{"submitted":7,"completed":5,"rejected":1,"timed_out":1,"faulted":0,"panics_isolated":0,"retries":3,"injected_panics":0,"injected_latency":2,"injected_rejects":0,"injected_drops":18446744073709551615}}}"#;
+
+const SIM_REPLY: &str = r#"{"id":5,"ok":{"kind":"sim","resp":{"name":"email-Enron","metrics":{"cycles":4668012624728817664,"energy_pj":9221120237041090560,"activity":{"dram_elems":1,"gb_accesses":340282366920938463463374607431768211455,"pe_buf_accesses":3,"macs":4,"isect_coords":0},"dram":{"total":10,"baseline":8,"overbook_extra":2},"reuse":{"bumped_fraction":4598175219545276416,"reused_fraction":4604930618986332160,"overbooked_a_tiles":3,"total_a_tiles":12,"overbooked_b_tiles":0,"total_b_tiles":6},"plan":{"gb_rows_a":16,"gb_cols_b":32,"pe_rows_a":4,"pe_cols_b":8,"full_k":true,"overbooking":false},"scratch":{"col_blocks":1,"block_cols":145,"bytes_per_thread":1160,"fits_budget":true,"grid":"grid2d","parallel_units":5},"bound_by":"dram"},"hits":{"tensor":true,"profile":true,"plan":false}}}}"#;
+
+const FUNCTIONAL_REPLY: &str = r#"{"id":6,"ok":{"kind":"functional","resp":{"config":{"capacity":64,"fifo_region":8,"rows_a":2,"cols_b":3,"overbooking":true,"mem_budget":"unbounded","grid":"panels","auto_plan":false},"result":{"z":{"nrows":2,"ncols":3,"row_ptr":[0,2,3],"cols":[0,2,1],"vals":[4609434218613702656,9223372036854775808,118622047889322841]},"dram_a_fetches":7,"dram_b_fetches":9,"overbooked_a_tiles":1},"hits":{"tensor":false,"profile":true,"plan":true}}}}"#;
+
+/// One line per [`transcript_errors`] entry, in order.
+const ERROR_REPLIES: [&str; 7] = [
+    r#"{"id":7,"err":{"code":"overloaded","reason":"mailbox-full","capacity":64}}"#,
+    r#"{"id":7,"err":{"code":"overloaded","reason":"tensor-bytes","estimated":10,"limit":5}}"#,
+    r#"{"id":7,"err":{"code":"overloaded","reason":"plan-pressure","pressure":4607182418800017408,"hit_rate":4593671619917905920}}"#,
+    r#"{"id":7,"err":{"code":"timeout","deadline_secs":1,"deadline_nanos":500}}"#,
+    r#"{"id":7,"err":{"code":"faulted","panic":true,"message":"quote \" slash \\ nl \n cr \r tab \t bell \u0007 é ✓ 𝄞"}}"#,
+    r#"{"id":7,"err":{"code":"bad-request","message":"no such workload"}}"#,
+    r#"{"id":7,"err":{"code":"shutdown"}}"#,
+];
+
+const MALFORMED_REPLY: &str = r#"{"id":null,"err":{"code":"malformed","message":"malformed wire message: expected ':' at offset 9"}}"#;
+
+#[test]
+fn request_lines_match_the_transcript_byte_for_byte() {
+    let mut line = String::new();
+    encode_request_into(1, &Work::Sim(transcript_sim_request()), &mut line);
+    assert_eq!(line, SIM_REQUEST);
+    let functional = Work::Functional(Box::new(transcript_functional_request()));
+    encode_request_into(2, &functional, &mut line);
+    assert_eq!(line, FUNCTIONAL_REQUEST);
+    encode_request_flagged_into(3, &Work::Sim(transcript_sim_request()), true, &mut line);
+    assert_eq!(line, WARM_REQUEST);
+    encode_ping_into(4, &mut line);
+    assert_eq!(line, PING);
+    for line in [SIM_REQUEST, FUNCTIONAL_REQUEST, WARM_REQUEST, PING] {
+        assert_request_fixed_point(line);
+    }
+}
+
+#[test]
+fn reply_lines_match_the_transcript_byte_for_byte() {
+    let stats = RuntimeStats {
+        submitted: 7,
+        completed: 5,
+        rejected: 1,
+        timed_out: 1,
+        faulted: 0,
+        panics_isolated: 0,
+        retries: 3,
+        injected_panics: 0,
+        injected_latency: 2,
+        injected_rejects: 0,
+        injected_drops: u64::MAX,
+    };
+    let mut line = String::new();
+    encode_pong_into(4, &stats, &mut line);
+    assert_eq!(line, PONG);
+    assert_eq!(
+        encode_reply(Some(5), &Ok(transcript_sim_reply())),
+        SIM_REPLY
+    );
+    assert_eq!(
+        encode_reply(Some(6), &Ok(transcript_functional_reply())),
+        FUNCTIONAL_REPLY
+    );
+    for (err, expected) in transcript_errors().into_iter().zip(ERROR_REPLIES) {
+        assert_eq!(encode_reply(Some(7), &Err(err)), expected);
+    }
+    for line in [SIM_REPLY, FUNCTIONAL_REPLY]
+        .into_iter()
+        .chain(ERROR_REPLIES)
+    {
+        assert_reply_fixed_point(line);
+    }
+    let err = WireError::Malformed("expected ':' at offset 9".into());
+    encode_malformed_reply_into(&err, &mut line);
+    assert_eq!(line, MALFORMED_REPLY);
+    // A protocol-level reply surfaces as the bad request it was.
+    let (id, outcome) = decode_reply(MALFORMED_REPLY).expect("malformed reply decodes");
+    assert_eq!(id, None);
+    assert_eq!(
+        outcome.unwrap_err(),
+        ServeError::BadRequest(
+            "protocol error: malformed wire message: expected ':' at offset 9".into()
+        )
+    );
 }
