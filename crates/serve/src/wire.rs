@@ -15,12 +15,20 @@
 //! ← {"id":null,"err":{"code":"malformed","message":"..."}}
 //! ```
 //!
-//! A malformed or truncated line gets a *protocol-level error reply*
-//! (`code: "malformed"`, `id: null`) — the connection stays up and later
-//! well-formed requests are served; nothing panics and nothing is
-//! dropped. Every server-side failure travels back as the typed
-//! [`ServeError`] it was, so a wire client sees exactly the outcomes an
-//! in-process caller sees.
+//! A malformed, truncated or over-long (> 64 KiB) request line gets a
+//! *protocol-level error reply* (`code: "malformed"`, `id: null`) — the
+//! connection stays up and later well-formed requests are served; nothing
+//! panics and nothing is dropped. Every server-side failure travels back
+//! as the typed [`ServeError`] it was, so a wire client sees exactly the
+//! outcomes an in-process caller sees.
+//!
+//! # Codec
+//!
+//! No JSON tree: encoders append straight into the caller's reused
+//! `String`, and decoders walk the line once with a borrowed cursor,
+//! filling the typed structs field by field — linear time, and no
+//! allocation for a hot sim request or reply. Fields may come in any
+//! order, unknown keys are skipped and the first of a repeated key wins.
 //!
 //! # Bit-exactness
 //!
@@ -30,8 +38,11 @@
 //! serving layer's determinism contract survives the transport, which
 //! the wire determinism suite asserts against cold in-process runs.
 //! A welcome side effect: the codec never parses or prints floating
-//! point, so there is no rounding to reason about.
+//! point, so there is no rounding to reason about. Numbers are unsigned
+//! decimal integers; fraction, exponent and sign syntax is refused.
 
+use std::borrow::Cow;
+use std::fmt::{Display, Write as _};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,200 +90,8 @@ fn malformed(msg: impl Into<String>) -> WireError {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal JSON value model: numbers stay raw decimal tokens, which is
-// all this protocol emits (every float is carried as its bit pattern).
+// Writing: values render straight into the caller's line buffer.
 // ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Public so the codec round-trip property tests can
-/// exercise the parser directly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, kept as its raw token (this protocol only emits decimal
-    /// integers).
-    Num(String),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in emission order. Keys are `Cow` so the encoders
-    /// borrow their `'static` field names (no per-key allocation on the
-    /// hot reply path) while the parser stores owned keys.
-    Obj(Vec<(std::borrow::Cow<'static, str>, Json)>),
-}
-
-/// Nesting depth bound — protocol messages nest ~5 deep; anything deeper
-/// is hostile or corrupt and is refused rather than recursed into.
-const MAX_DEPTH: usize = 64;
-
-impl Json {
-    /// Parses one JSON document, requiring it to span the whole input.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Malformed`] with a position-carrying description;
-    /// never panics, for any input.
-    pub fn parse(input: &str) -> Result<Json, WireError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(malformed(format!(
-                "trailing bytes at offset {} of {:?}",
-                p.pos,
-                truncate_for_error(input)
-            )));
-        }
-        Ok(v)
-    }
-
-    /// Serializes to a single line (no internal newlines, ever — the
-    /// framing depends on it).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    /// Serializes into a caller-owned buffer, clearing it first. The
-    /// buffer's capacity survives across calls, so a session that reuses
-    /// one buffer renders every steady-state reply without touching the
-    /// allocator (capacity only ever ratchets up to the largest message
-    /// seen).
-    pub fn render_into(&self, out: &mut String) {
-        out.clear();
-        self.write(out);
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(tok) => out.push_str(tok),
-            Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    // -- typed accessors; every failure is a Malformed with context --
-
-    fn get(&self, key: &str) -> Result<&Json, WireError> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| malformed(format!("missing field {key:?}"))),
-            _ => Err(malformed(format!("expected an object with field {key:?}"))),
-        }
-    }
-
-    fn opt(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn str_(&self) -> Result<&str, WireError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(malformed(format!("expected a string, got {other:?}"))),
-        }
-    }
-
-    fn bool_(&self) -> Result<bool, WireError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(malformed(format!("expected a bool, got {other:?}"))),
-        }
-    }
-
-    fn num_tok(&self) -> Result<&str, WireError> {
-        match self {
-            Json::Num(tok) => Ok(tok),
-            other => Err(malformed(format!("expected a number, got {other:?}"))),
-        }
-    }
-
-    fn u64_(&self) -> Result<u64, WireError> {
-        let tok = self.num_tok()?;
-        tok.parse()
-            .map_err(|_| malformed(format!("number {tok:?} is not a u64")))
-    }
-
-    fn u128_(&self) -> Result<u128, WireError> {
-        let tok = self.num_tok()?;
-        tok.parse()
-            .map_err(|_| malformed(format!("number {tok:?} is not a u128")))
-    }
-
-    fn usize_(&self) -> Result<usize, WireError> {
-        let tok = self.num_tok()?;
-        tok.parse()
-            .map_err(|_| malformed(format!("number {tok:?} is not a usize")))
-    }
-
-    fn u32_(&self) -> Result<u32, WireError> {
-        let tok = self.num_tok()?;
-        tok.parse()
-            .map_err(|_| malformed(format!("number {tok:?} is not a u32")))
-    }
-
-    /// An `f64` carried as the decimal rendering of its bit pattern.
-    fn f64_bits(&self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64_()?))
-    }
-
-    fn arr(&self) -> Result<&[Json], WireError> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(malformed(format!("expected an array, got {other:?}"))),
-        }
-    }
-}
-
-fn truncate_for_error(s: &str) -> String {
-    const LIMIT: usize = 80;
-    if s.len() <= LIMIT {
-        s.to_string()
-    } else {
-        let mut end = LIMIT;
-        while !s.is_char_boundary(end) {
-            end -= 1;
-        }
-        format!("{}…", &s[..end])
-    }
-}
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
@@ -284,7 +103,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -292,18 +111,115 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// One JSON object being appended to a line: each method writes one
+/// `"key":value` field (comma-separated after the first), so an encoder
+/// lists its fields in wire order. Keys are literals with nothing to
+/// escape.
+struct Obj<'o> {
+    out: &'o mut String,
+    empty: bool,
 }
 
-impl<'a> Parser<'a> {
+impl Obj<'_> {
+    /// Clears `out` and renders one object into it: a whole wire line
+    /// (never a newline inside — the framing depends on it).
+    fn line(out: &mut String, body: impl FnOnce(&mut Obj<'_>)) {
+        out.clear();
+        Obj::append(out, body);
+    }
+
+    fn append(out: &mut String, body: impl FnOnce(&mut Obj<'_>)) {
+        out.push('{');
+        body(&mut Obj {
+            out: &mut *out,
+            empty: true,
+        });
+        out.push('}');
+    }
+
+    /// Writes the key of the next field and hands back the buffer for
+    /// its value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    fn with(&mut self, key: &str, value: impl FnOnce(&mut String)) -> &mut Self {
+        value(self.key(key));
+        self
+    }
+
+    fn num(&mut self, key: &str, v: impl Display) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// An `f64` as the decimal rendering of its bit pattern.
+    fn bits(&mut self, key: &str, v: f64) -> &mut Self {
+        self.num(key, v.to_bits())
+    }
+
+    fn flag(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        write_escaped(v, self.key(key));
+        self
+    }
+
+    fn obj(&mut self, key: &str, body: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+        Obj::append(self.key(key), body);
+        self
+    }
+
+    fn list<T: Display>(&mut self, key: &str, items: impl IntoIterator<Item = T>) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, v) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{v}");
+        }
+        out.push(']');
+        self
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reading: one borrowed pass over the line, no intermediate tree.
+// ---------------------------------------------------------------------------
+
+/// Nesting depth bound — protocol messages nest ~5 deep; anything deeper
+/// is hostile or corrupt and is refused rather than recursed into.
+const MAX_DEPTH: usize = 64;
+
+/// A position in one wire line. Every read skips leading whitespace,
+/// consumes exactly one value and fails with a [`WireError::Malformed`]
+/// naming the byte offset; nothing here panics, for any input. `Copy`,
+/// so a decoder can note where a value starts and come back to it.
+#[derive(Clone, Copy)]
+struct Cursor<'a> {
+    src: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Cursor<'a> {
     fn fail(&self, msg: &str) -> WireError {
         malformed(format!("{msg} at offset {}", self.pos))
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -312,7 +228,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_byte(&mut self, b: u8) -> Result<(), WireError> {
+    fn expect(&mut self, b: u8) -> Result<(), WireError> {
+        self.skip_ws();
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -321,190 +238,281 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+    fn keyword(&mut self, kw: &str) -> bool {
+        self.skip_ws();
+        let hit = self.src.as_bytes()[self.pos..].starts_with(kw.as_bytes());
+        if hit {
             self.pos += kw.len();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, WireError> {
-        if depth > MAX_DEPTH {
+    /// Walks the comma-separated entries of one object or array
+    /// (`open`/`close` delimit it), calling `entry` to read each one.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut entry: impl FnMut(&mut Self) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        self.expect(open)?;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
             return Err(self.fail("nesting too deep"));
         }
         self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                entry(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ => return Err(self.fail(&format!("expected ',' or {:?}", close as char))),
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Walks one object, handing each key to `field` in wire order.
+    /// `field` reads the value of a key it wants and returns `true`; a
+    /// key it returns `false` for has its value skipped.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<bool, WireError>,
+    ) -> Result<(), WireError> {
+        self.seq(b'{', b'}', |c| {
+            let key = c.string()?;
+            c.expect(b':')?;
+            if !field(c, &key)? {
+                c.skip()?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Fills `slot` by `read` unless an earlier occurrence of the same
+    /// key already did (the first one wins; later ones are skipped).
+    fn slot<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut Self) -> Result<T, WireError>,
+    ) -> Result<bool, WireError> {
+        if slot.is_some() {
+            return Ok(false);
+        }
+        *slot = Some(read(self)?);
+        Ok(true)
+    }
+
+    /// Skips one value of any shape, validating it as it goes.
+    fn skip(&mut self) -> Result<(), WireError> {
+        self.skip_ws();
         match self.peek() {
-            None => Err(self.fail("unexpected end of input")),
-            Some(b'n') if self.eat_keyword("null") => Ok(Json::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.fail("expected ',' or ']'")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect_byte(b':')?;
-                    let value = self.value(depth + 1)?;
-                    fields.push((key.into(), value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(self.fail("expected ',' or '}'")),
-                    }
-                }
-            }
+            Some(b'{') => self.object(|_, _| Ok(false)),
+            Some(b'[') => self.seq(b'[', b']', Cursor::skip),
+            Some(b'"') => self.string().map(drop),
             Some(b'-' | b'0'..=b'9') => self.number(),
+            _ if self.keyword("null") || self.keyword("true") || self.keyword("false") => Ok(()),
+            None => Err(self.fail("unexpected end of input")),
             Some(_) => Err(self.fail("unexpected byte")),
         }
     }
 
-    fn number(&mut self) -> Result<Json, WireError> {
-        let start = self.pos;
+    /// Skips any JSON number. Only unknown fields get here: typed fields
+    /// read unsigned integers with [`Cursor::uint`].
+    fn number(&mut self) -> Result<(), WireError> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == digits_start {
-            return Err(self.fail("expected digits"));
-        }
-        // Accept (but never emit) fraction/exponent syntax so foreign
-        // senders fail at typed decoding, not tokenization.
+        self.digits("expected digits")?;
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let frac = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == frac {
-                return Err(self.fail("expected fraction digits"));
-            }
+            self.digits("expected fraction digits")?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let exp = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == exp {
-                return Err(self.fail("expected exponent digits"));
-            }
+            self.digits("expected exponent digits")?;
         }
-        let tok = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.fail("invalid utf-8 in number"))?;
-        Ok(Json::Num(tok.to_string()))
+        Ok(())
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.fail("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let unit = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&unit) {
-                                // A high surrogate must pair with \uDC00..
-                                if !(self.eat_keyword("\\u")) {
-                                    return Err(self.fail("unpaired surrogate"));
-                                }
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.fail("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.fail("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(unit)
-                                    .ok_or_else(|| self.fail("invalid escape code point"))?
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.fail("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // boundaries are valid; find the next one).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.fail("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.fail("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
+    /// Consumes a non-empty run of ASCII digits and returns it.
+    fn digits(&mut self, missing: &str) -> Result<&'a str, WireError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
         }
+        if self.pos == start {
+            return Err(self.fail(missing));
+        }
+        Ok(&self.src[start..self.pos])
+    }
+
+    /// An unsigned decimal integer, range-checked against `T` (which the
+    /// decoders leave to inference from the field being filled).
+    fn uint<T: std::str::FromStr>(&mut self) -> Result<T, WireError> {
+        self.skip_ws();
+        let tok = self.digits("expected an unsigned integer")?;
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return Err(self.fail("expected an integer, not a fraction or exponent"));
+        }
+        tok.parse()
+            .map_err(|_| self.fail(&format!("integer {tok} out of range")))
+    }
+
+    /// An `f64` carried as the decimal rendering of its bit pattern.
+    fn f64_bits(&mut self) -> Result<f64, WireError> {
+        self.uint().map(f64::from_bits)
+    }
+
+    fn bool_(&mut self) -> Result<bool, WireError> {
+        if self.keyword("true") {
+            Ok(true)
+        } else if self.keyword("false") {
+            Ok(false)
+        } else {
+            Err(self.fail("expected a bool"))
+        }
+    }
+
+    /// A string, borrowed from the line unless it holds escapes. Each run
+    /// between escapes is found by one scan for the next `"` or `\`; both
+    /// are ASCII, so every run ends on a character boundary of the line.
+    fn string(&mut self) -> Result<Cow<'a, str>, WireError> {
+        self.expect(b'"')?;
+        let mut owned: Option<String> = None;
+        loop {
+            let run = self.pos;
+            let Some(len) = self.src.as_bytes()[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.src.len();
+                return Err(self.fail("unterminated string"));
+            };
+            self.pos += len;
+            let chunk = &self.src[run..self.pos];
+            self.pos += 1;
+            if self.src.as_bytes()[self.pos - 1] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(chunk),
+                    Some(mut s) => {
+                        s.push_str(chunk);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(chunk);
+            let c = self.escape()?;
+            s.push(c);
+        }
+    }
+
+    /// The character of one escape sequence, just past its `\`.
+    fn escape(&mut self) -> Result<char, WireError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let unit = self.hex4()?;
+                if !(0xD800..0xDC00).contains(&unit) {
+                    return char::from_u32(unit)
+                        .ok_or_else(|| self.fail("invalid escape code point"));
+                }
+                // A high surrogate must pair with \uDC00..
+                if !self.src.as_bytes()[self.pos..].starts_with(b"\\u") {
+                    return Err(self.fail("unpaired surrogate"));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&low) {
+                    return Err(self.fail("invalid low surrogate"));
+                }
+                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                return char::from_u32(code).ok_or_else(|| self.fail("invalid surrogate pair"));
+            }
+            _ => return Err(self.fail("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn hex4(&mut self) -> Result<u32, WireError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.fail("truncated \\u escape"));
+        let hex = self.src.get(self.pos..self.pos + 4);
+        let v = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
+        self.pos += 4;
+        v.ok_or_else(|| self.fail("invalid \\u escape"))
+    }
+}
+
+/// Decodes a whole line as one value read by `read`, refusing trailing
+/// bytes.
+fn decode_line<'a, T>(
+    line: &'a str,
+    read: impl FnOnce(&mut Cursor<'a>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut c = Cursor {
+        src: line,
+        pos: 0,
+        depth: 0,
+    };
+    let v = read(&mut c)?;
+    c.skip_ws();
+    if c.pos != line.len() {
+        return Err(c.fail("trailing bytes"));
+    }
+    Ok(v)
+}
+
+fn required<T>(v: Option<T>, key: &str) -> Result<T, WireError> {
+    v.ok_or_else(|| malformed(format!("missing field {key:?}")))
+}
+
+/// Decodes one object into the struct `$ty`, every field required and
+/// read by its `$read` (a `FnOnce(&mut Cursor) -> Result<_, WireError>`),
+/// as a `Result<$ty, WireError>`.
+macro_rules! decode_struct {
+    ($c:ident => $ty:ident { $($field:ident: $read:expr),* $(,)? }) => {{
+        $(let mut $field = None;)*
+        $c.object(|c, key| match key {
+            $(stringify!($field) => c.slot(&mut $field, $read),)*
+            _ => Ok(false),
+        })
+        .and_then(|()| Ok($ty { $($field: required($field, stringify!($field))?,)* }))
+    }};
+}
+
+/// Reads a payload whose shape depends on its object's `kind` (`req`,
+/// `resp`). Every encoder writes `kind` first, so the payload normally
+/// decodes in place (`Ok`); one that arrives before its kind is skipped
+/// and handed back as a cursor (`Err`), to decode once the walk has
+/// found the kind.
+fn payload<'a, T>(
+    c: &mut Cursor<'a>,
+    kind: Option<&str>,
+    decode: impl FnOnce(&mut Cursor<'a>, &str) -> Result<T, WireError>,
+) -> Result<Result<T, Cursor<'a>>, WireError> {
+    match kind {
+        Some(kind) => decode(c, kind).map(Ok),
+        None => {
+            let at = *c;
+            c.skip().map(|()| Err(at))
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.fail("invalid utf-8 in \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.fail("invalid \\u escape"))?;
-        self.pos = end;
-        Ok(v)
     }
 }
 
@@ -551,535 +559,474 @@ fn intern_bound_by(s: &str) -> &'static str {
 // Domain codecs
 // ---------------------------------------------------------------------------
 
-fn num_u64(v: u64) -> Json {
-    Json::Num(v.to_string())
-}
-
-fn num_u128(v: u128) -> Json {
-    Json::Num(v.to_string())
-}
-
-fn num_usize(v: usize) -> Json {
-    Json::Num(v.to_string())
-}
-
-fn bits(v: f64) -> Json {
-    Json::Num(v.to_bits().to_string())
-}
-
-// Field names are compile-time literals, so the arena borrows them:
-// building an envelope allocates only the (exact-sized) field vector,
-// never the keys.
-fn obj(fields: Vec<(&'static str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (std::borrow::Cow::Borrowed(k), v))
-            .collect(),
-    )
-}
-
-fn encode_workload(wl: &Workload) -> Json {
+fn encode_workload(o: &mut Obj<'_>, wl: &Workload) {
     let class = match wl.class {
         WorkloadClass::LinearSystem => "linear-system",
         WorkloadClass::Graph => "graph",
         WorkloadClass::RoadNetwork => "road-network",
     };
-    obj(vec![
-        ("name", Json::Str(wl.name.to_string())),
-        ("nrows", num_usize(wl.nrows)),
-        ("ncols", num_usize(wl.ncols)),
-        ("target_nnz", num_usize(wl.target_nnz)),
-        ("class", Json::Str(class.to_string())),
-        ("paper_sparsity", bits(wl.paper_sparsity)),
-        ("variability", bits(wl.variability)),
-        ("seed", num_u64(wl.seed)),
-    ])
+    o.str("name", wl.name)
+        .num("nrows", wl.nrows)
+        .num("ncols", wl.ncols)
+        .num("target_nnz", wl.target_nnz)
+        .str("class", class)
+        .bits("paper_sparsity", wl.paper_sparsity)
+        .bits("variability", wl.variability)
+        .num("seed", wl.seed);
 }
 
-fn decode_workload(v: &Json) -> Result<Workload, WireError> {
-    let class = match v.get("class")?.str_()? {
-        "linear-system" => WorkloadClass::LinearSystem,
-        "graph" => WorkloadClass::Graph,
-        "road-network" => WorkloadClass::RoadNetwork,
-        other => return Err(malformed(format!("unknown workload class {other:?}"))),
-    };
-    Ok(Workload {
-        name: intern_workload_name(v.get("name")?.str_()?),
-        nrows: v.get("nrows")?.usize_()?,
-        ncols: v.get("ncols")?.usize_()?,
-        target_nnz: v.get("target_nnz")?.usize_()?,
-        class,
-        paper_sparsity: v.get("paper_sparsity")?.f64_bits()?,
-        variability: v.get("variability")?.f64_bits()?,
-        seed: v.get("seed")?.u64_()?,
+fn decode_workload(c: &mut Cursor<'_>) -> Result<Workload, WireError> {
+    decode_struct!(c => Workload {
+        name: |c| Ok(intern_workload_name(&c.string()?)),
+        nrows: Cursor::uint,
+        ncols: Cursor::uint,
+        target_nnz: Cursor::uint,
+        class: |c| match &*c.string()? {
+            "linear-system" => Ok(WorkloadClass::LinearSystem),
+            "graph" => Ok(WorkloadClass::Graph),
+            "road-network" => Ok(WorkloadClass::RoadNetwork),
+            other => Err(malformed(format!("unknown workload class {other:?}"))),
+        },
+        paper_sparsity: Cursor::f64_bits,
+        variability: Cursor::f64_bits,
+        seed: Cursor::uint,
     })
 }
 
-fn encode_variant(v: Variant) -> Json {
+fn encode_variant(o: &mut Obj<'_>, v: Variant) {
     match v {
-        Variant::ExTensorN => obj(vec![("kind", Json::Str("n".into()))]),
-        Variant::ExTensorP => obj(vec![("kind", Json::Str("p".into()))]),
-        Variant::ExTensorOB { y, k } => obj(vec![
-            ("kind", Json::Str("ob".into())),
-            ("y", bits(y)),
-            ("k", num_usize(k)),
-        ]),
+        Variant::ExTensorN => o.str("kind", "n"),
+        Variant::ExTensorP => o.str("kind", "p"),
+        Variant::ExTensorOB { y, k } => o.str("kind", "ob").bits("y", y).num("k", k),
         // `Variant` is non_exhaustive upstream; refuse rather than
         // silently mis-encode a future variant.
         other => unreachable!("unencodable variant {other:?}"),
-    }
+    };
 }
 
-fn decode_variant(v: &Json) -> Result<Variant, WireError> {
-    match v.get("kind")?.str_()? {
+fn decode_variant(c: &mut Cursor<'_>) -> Result<Variant, WireError> {
+    let (mut kind, mut y, mut k) = (None, None, None);
+    c.object(|c, key| match key {
+        "kind" => c.slot(&mut kind, Cursor::string),
+        "y" => c.slot(&mut y, Cursor::f64_bits),
+        "k" => c.slot(&mut k, Cursor::uint),
+        _ => Ok(false),
+    })?;
+    match &*required(kind, "kind")? {
         "n" => Ok(Variant::ExTensorN),
         "p" => Ok(Variant::ExTensorP),
         "ob" => Ok(Variant::ExTensorOB {
-            y: v.get("y")?.f64_bits()?,
-            k: v.get("k")?.usize_()?,
+            y: required(y, "y")?,
+            k: required(k, "k")?,
         }),
         other => Err(malformed(format!("unknown variant kind {other:?}"))),
     }
 }
 
-fn encode_arch(a: &ArchConfig) -> Json {
-    obj(vec![
-        ("gb_bytes", num_u64(a.gb_bytes)),
-        ("pe_buf_bytes", num_u64(a.pe_buf_bytes)),
-        ("pe_count", num_u64(a.pe_count)),
-        ("bytes_per_element", num_u64(a.bytes_per_element)),
-        ("dram_bytes_per_cycle", bits(a.dram_bytes_per_cycle)),
-        ("gb_elems_per_cycle", bits(a.gb_elems_per_cycle)),
-        ("isect_coords_per_cycle", bits(a.isect_coords_per_cycle)),
-        ("macs_per_pe_per_cycle", bits(a.macs_per_pe_per_cycle)),
-        ("operand_fraction", bits(a.operand_fraction)),
-        ("dram_latency_cycles", num_u64(a.dram_latency_cycles)),
-        ("gb_latency_cycles", num_u64(a.gb_latency_cycles)),
-    ])
+fn encode_arch(o: &mut Obj<'_>, a: &ArchConfig) {
+    o.num("gb_bytes", a.gb_bytes)
+        .num("pe_buf_bytes", a.pe_buf_bytes)
+        .num("pe_count", a.pe_count)
+        .num("bytes_per_element", a.bytes_per_element)
+        .bits("dram_bytes_per_cycle", a.dram_bytes_per_cycle)
+        .bits("gb_elems_per_cycle", a.gb_elems_per_cycle)
+        .bits("isect_coords_per_cycle", a.isect_coords_per_cycle)
+        .bits("macs_per_pe_per_cycle", a.macs_per_pe_per_cycle)
+        .bits("operand_fraction", a.operand_fraction)
+        .num("dram_latency_cycles", a.dram_latency_cycles)
+        .num("gb_latency_cycles", a.gb_latency_cycles);
 }
 
-fn decode_arch(v: &Json) -> Result<ArchConfig, WireError> {
-    Ok(ArchConfig {
-        gb_bytes: v.get("gb_bytes")?.u64_()?,
-        pe_buf_bytes: v.get("pe_buf_bytes")?.u64_()?,
-        pe_count: v.get("pe_count")?.u64_()?,
-        bytes_per_element: v.get("bytes_per_element")?.u64_()?,
-        dram_bytes_per_cycle: v.get("dram_bytes_per_cycle")?.f64_bits()?,
-        gb_elems_per_cycle: v.get("gb_elems_per_cycle")?.f64_bits()?,
-        isect_coords_per_cycle: v.get("isect_coords_per_cycle")?.f64_bits()?,
-        macs_per_pe_per_cycle: v.get("macs_per_pe_per_cycle")?.f64_bits()?,
-        operand_fraction: v.get("operand_fraction")?.f64_bits()?,
-        dram_latency_cycles: v.get("dram_latency_cycles")?.u64_()?,
-        gb_latency_cycles: v.get("gb_latency_cycles")?.u64_()?,
+fn decode_arch(c: &mut Cursor<'_>) -> Result<ArchConfig, WireError> {
+    decode_struct!(c => ArchConfig {
+        gb_bytes: Cursor::uint,
+        pe_buf_bytes: Cursor::uint,
+        pe_count: Cursor::uint,
+        bytes_per_element: Cursor::uint,
+        dram_bytes_per_cycle: Cursor::f64_bits,
+        gb_elems_per_cycle: Cursor::f64_bits,
+        isect_coords_per_cycle: Cursor::f64_bits,
+        macs_per_pe_per_cycle: Cursor::f64_bits,
+        operand_fraction: Cursor::f64_bits,
+        dram_latency_cycles: Cursor::uint,
+        gb_latency_cycles: Cursor::uint,
     })
 }
 
-fn encode_budget(b: MemBudget) -> Json {
+fn encode_budget(b: MemBudget, out: &mut String) {
     match b.limit_bytes() {
-        None => Json::Str("unbounded".into()),
-        Some(n) => num_u64(n),
+        None => out.push_str("\"unbounded\""),
+        Some(n) => {
+            let _ = write!(out, "{n}");
+        }
     }
 }
 
-fn decode_budget(v: &Json) -> Result<MemBudget, WireError> {
-    match v {
-        Json::Str(s) if s == "unbounded" => Ok(MemBudget::Unbounded),
-        Json::Num(_) => Ok(MemBudget::Bytes(v.u64_()?)),
+fn decode_budget(c: &mut Cursor<'_>) -> Result<MemBudget, WireError> {
+    c.skip_ws();
+    if c.peek() != Some(b'"') {
+        return c.uint().map(MemBudget::Bytes);
+    }
+    match &*c.string()? {
+        "unbounded" => Ok(MemBudget::Unbounded),
         other => Err(malformed(format!("invalid budget {other:?}"))),
     }
 }
 
-fn encode_grid(g: GridMode) -> Json {
-    Json::Str(
-        match g {
-            GridMode::Panels => "panels",
-            GridMode::Grid2D => "grid2d",
-        }
-        .into(),
-    )
+fn grid_name(g: GridMode) -> &'static str {
+    match g {
+        GridMode::Panels => "panels",
+        GridMode::Grid2D => "grid2d",
+    }
 }
 
-fn decode_grid(v: &Json) -> Result<GridMode, WireError> {
-    GridMode::parse(v.str_()?).map_err(malformed)
+fn decode_grid(c: &mut Cursor<'_>) -> Result<GridMode, WireError> {
+    GridMode::parse(&c.string()?).map_err(malformed)
 }
 
-fn encode_sim_request(r: &SimRequest) -> Json {
-    obj(vec![
-        ("workload", encode_workload(&r.workload)),
-        ("variant", encode_variant(r.variant)),
-        ("arch", encode_arch(&r.arch)),
-        ("budget", encode_budget(r.budget)),
-        ("grid", encode_grid(r.grid)),
-        ("auto_plan", Json::Bool(r.auto_plan)),
-    ])
+fn encode_work(o: &mut Obj<'_>, work: &Work) {
+    let (workload, variant, arch, budget, grid, auto_plan) = match work {
+        Work::Sim(r) => (
+            &r.workload,
+            r.variant,
+            &r.arch,
+            r.budget,
+            r.grid,
+            r.auto_plan,
+        ),
+        Work::Functional(r) => (
+            &r.workload,
+            r.variant,
+            &r.arch,
+            r.budget,
+            r.grid,
+            r.auto_plan,
+        ),
+    };
+    o.obj("workload", |o| encode_workload(o, workload))
+        .obj("variant", |o| encode_variant(o, variant))
+        .obj("arch", |o| encode_arch(o, arch))
+        .with("budget", |out| encode_budget(budget, out))
+        .str("grid", grid_name(grid))
+        .flag("auto_plan", auto_plan);
+    if let Work::Functional(r) = work {
+        o.num("threads", r.threads);
+    }
 }
 
-fn decode_sim_request(v: &Json) -> Result<SimRequest, WireError> {
-    Ok(SimRequest {
-        workload: decode_workload(v.get("workload")?)?,
-        variant: decode_variant(v.get("variant")?)?,
-        arch: decode_arch(v.get("arch")?)?,
-        budget: decode_budget(v.get("budget")?)?,
-        grid: decode_grid(v.get("grid")?)?,
-        auto_plan: v.get("auto_plan")?.bool_()?,
+fn decode_work(c: &mut Cursor<'_>, kind: &str) -> Result<Work, WireError> {
+    match kind {
+        "sim" => decode_struct!(c => SimRequest {
+            workload: decode_workload,
+            variant: decode_variant,
+            arch: decode_arch,
+            budget: decode_budget,
+            grid: decode_grid,
+            auto_plan: Cursor::bool_,
+        })
+        .map(Work::Sim),
+        "functional" => decode_struct!(c => FunctionalRequest {
+            workload: decode_workload,
+            variant: decode_variant,
+            arch: decode_arch,
+            budget: decode_budget,
+            grid: decode_grid,
+            auto_plan: Cursor::bool_,
+            threads: Cursor::uint,
+        })
+        .map(|r| Work::Functional(Box::new(r))),
+        other => Err(malformed(format!("unknown request kind {other:?}"))),
+    }
+}
+
+fn encode_metrics(o: &mut Obj<'_>, m: &RunMetrics) {
+    o.bits("cycles", m.cycles)
+        .bits("energy_pj", m.energy_pj)
+        .obj("activity", |o| {
+            o.num("dram_elems", m.activity.dram_elems)
+                .num("gb_accesses", m.activity.gb_accesses)
+                .num("pe_buf_accesses", m.activity.pe_buf_accesses)
+                .num("macs", m.activity.macs)
+                .num("isect_coords", m.activity.isect_coords);
+        })
+        .obj("dram", |o| {
+            o.num("total", m.dram.total)
+                .num("baseline", m.dram.baseline)
+                .num("overbook_extra", m.dram.overbook_extra);
+        })
+        .obj("reuse", |o| {
+            o.bits("bumped_fraction", m.reuse.bumped_fraction)
+                .bits("reused_fraction", m.reuse.reused_fraction)
+                .num("overbooked_a_tiles", m.reuse.overbooked_a_tiles)
+                .num("total_a_tiles", m.reuse.total_a_tiles)
+                .num("overbooked_b_tiles", m.reuse.overbooked_b_tiles)
+                .num("total_b_tiles", m.reuse.total_b_tiles);
+        })
+        .obj("plan", |o| {
+            o.num("gb_rows_a", m.plan.gb_rows_a)
+                .num("gb_cols_b", m.plan.gb_cols_b)
+                .num("pe_rows_a", m.plan.pe_rows_a)
+                .num("pe_cols_b", m.plan.pe_cols_b)
+                .flag("full_k", m.plan.full_k)
+                .flag("overbooking", m.plan.overbooking);
+        })
+        .obj("scratch", |o| {
+            o.num("col_blocks", m.scratch.col_blocks)
+                .num("block_cols", m.scratch.block_cols)
+                .num("bytes_per_thread", m.scratch.bytes_per_thread)
+                .flag("fits_budget", m.scratch.fits_budget)
+                .str("grid", grid_name(m.scratch.grid))
+                .num("parallel_units", m.scratch.parallel_units);
+        })
+        .str("bound_by", m.bound_by);
+}
+
+fn decode_metrics(c: &mut Cursor<'_>) -> Result<RunMetrics, WireError> {
+    decode_struct!(c => RunMetrics {
+        cycles: Cursor::f64_bits,
+        energy_pj: Cursor::f64_bits,
+        activity: |c| decode_struct!(c => ActivityCounts {
+            dram_elems: Cursor::uint,
+            gb_accesses: Cursor::uint,
+            pe_buf_accesses: Cursor::uint,
+            macs: Cursor::uint,
+            isect_coords: Cursor::uint,
+        }),
+        dram: |c| decode_struct!(c => DramBreakdown {
+            total: Cursor::uint,
+            baseline: Cursor::uint,
+            overbook_extra: Cursor::uint,
+        }),
+        reuse: |c| decode_struct!(c => ReuseStats {
+            bumped_fraction: Cursor::f64_bits,
+            reused_fraction: Cursor::f64_bits,
+            overbooked_a_tiles: Cursor::uint,
+            total_a_tiles: Cursor::uint,
+            overbooked_b_tiles: Cursor::uint,
+            total_b_tiles: Cursor::uint,
+        }),
+        plan: |c| decode_struct!(c => TilePlan {
+            gb_rows_a: Cursor::uint,
+            gb_cols_b: Cursor::uint,
+            pe_rows_a: Cursor::uint,
+            pe_cols_b: Cursor::uint,
+            full_k: Cursor::bool_,
+            overbooking: Cursor::bool_,
+        }),
+        scratch: |c| decode_struct!(c => ScratchStats {
+            col_blocks: Cursor::uint,
+            block_cols: Cursor::uint,
+            bytes_per_thread: Cursor::uint,
+            fits_budget: Cursor::bool_,
+            grid: decode_grid,
+            parallel_units: Cursor::uint,
+        }),
+        bound_by: |c| Ok(intern_bound_by(&c.string()?)),
     })
 }
 
-fn encode_functional_request(r: &FunctionalRequest) -> Json {
-    obj(vec![
-        ("workload", encode_workload(&r.workload)),
-        ("variant", encode_variant(r.variant)),
-        ("arch", encode_arch(&r.arch)),
-        ("budget", encode_budget(r.budget)),
-        ("grid", encode_grid(r.grid)),
-        ("auto_plan", Json::Bool(r.auto_plan)),
-        ("threads", num_usize(r.threads)),
-    ])
+fn encode_hits(o: &mut Obj<'_>, h: &CacheHits) {
+    o.flag("tensor", h.tensor)
+        .flag("profile", h.profile)
+        .flag("plan", h.plan);
 }
 
-fn decode_functional_request(v: &Json) -> Result<FunctionalRequest, WireError> {
-    Ok(FunctionalRequest {
-        workload: decode_workload(v.get("workload")?)?,
-        variant: decode_variant(v.get("variant")?)?,
-        arch: decode_arch(v.get("arch")?)?,
-        budget: decode_budget(v.get("budget")?)?,
-        grid: decode_grid(v.get("grid")?)?,
-        auto_plan: v.get("auto_plan")?.bool_()?,
-        threads: v.get("threads")?.usize_()?,
+fn decode_hits(c: &mut Cursor<'_>) -> Result<CacheHits, WireError> {
+    decode_struct!(c => CacheHits {
+        tensor: Cursor::bool_,
+        profile: Cursor::bool_,
+        plan: Cursor::bool_,
     })
 }
 
-fn encode_metrics(m: &RunMetrics) -> Json {
-    obj(vec![
-        ("cycles", bits(m.cycles)),
-        ("energy_pj", bits(m.energy_pj)),
-        (
-            "activity",
-            obj(vec![
-                ("dram_elems", num_u128(m.activity.dram_elems)),
-                ("gb_accesses", num_u128(m.activity.gb_accesses)),
-                ("pe_buf_accesses", num_u128(m.activity.pe_buf_accesses)),
-                ("macs", num_u128(m.activity.macs)),
-                ("isect_coords", num_u128(m.activity.isect_coords)),
-            ]),
-        ),
-        (
-            "dram",
-            obj(vec![
-                ("total", num_u128(m.dram.total)),
-                ("baseline", num_u128(m.dram.baseline)),
-                ("overbook_extra", num_u128(m.dram.overbook_extra)),
-            ]),
-        ),
-        (
-            "reuse",
-            obj(vec![
-                ("bumped_fraction", bits(m.reuse.bumped_fraction)),
-                ("reused_fraction", bits(m.reuse.reused_fraction)),
-                ("overbooked_a_tiles", num_usize(m.reuse.overbooked_a_tiles)),
-                ("total_a_tiles", num_usize(m.reuse.total_a_tiles)),
-                ("overbooked_b_tiles", num_usize(m.reuse.overbooked_b_tiles)),
-                ("total_b_tiles", num_usize(m.reuse.total_b_tiles)),
-            ]),
-        ),
-        (
-            "plan",
-            obj(vec![
-                ("gb_rows_a", num_usize(m.plan.gb_rows_a)),
-                ("gb_cols_b", num_usize(m.plan.gb_cols_b)),
-                ("pe_rows_a", num_usize(m.plan.pe_rows_a)),
-                ("pe_cols_b", num_usize(m.plan.pe_cols_b)),
-                ("full_k", Json::Bool(m.plan.full_k)),
-                ("overbooking", Json::Bool(m.plan.overbooking)),
-            ]),
-        ),
-        (
-            "scratch",
-            obj(vec![
-                ("col_blocks", num_usize(m.scratch.col_blocks)),
-                ("block_cols", num_usize(m.scratch.block_cols)),
-                ("bytes_per_thread", num_u64(m.scratch.bytes_per_thread)),
-                ("fits_budget", Json::Bool(m.scratch.fits_budget)),
-                ("grid", encode_grid(m.scratch.grid)),
-                ("parallel_units", num_usize(m.scratch.parallel_units)),
-            ]),
-        ),
-        ("bound_by", Json::Str(m.bound_by.to_string())),
-    ])
+fn encode_csr(o: &mut Obj<'_>, m: &CsrMatrix) {
+    o.num("nrows", m.nrows())
+        .num("ncols", m.ncols())
+        .list("row_ptr", m.row_ptr())
+        .list("cols", m.col_indices())
+        .list("vals", m.values().iter().map(|x| x.to_bits()));
 }
 
-fn decode_metrics(v: &Json) -> Result<RunMetrics, WireError> {
-    let a = v.get("activity")?;
-    let d = v.get("dram")?;
-    let r = v.get("reuse")?;
-    let p = v.get("plan")?;
-    let s = v.get("scratch")?;
-    Ok(RunMetrics {
-        cycles: v.get("cycles")?.f64_bits()?,
-        energy_pj: v.get("energy_pj")?.f64_bits()?,
-        activity: ActivityCounts {
-            dram_elems: a.get("dram_elems")?.u128_()?,
-            gb_accesses: a.get("gb_accesses")?.u128_()?,
-            pe_buf_accesses: a.get("pe_buf_accesses")?.u128_()?,
-            macs: a.get("macs")?.u128_()?,
-            isect_coords: a.get("isect_coords")?.u128_()?,
-        },
-        dram: DramBreakdown {
-            total: d.get("total")?.u128_()?,
-            baseline: d.get("baseline")?.u128_()?,
-            overbook_extra: d.get("overbook_extra")?.u128_()?,
-        },
-        reuse: ReuseStats {
-            bumped_fraction: r.get("bumped_fraction")?.f64_bits()?,
-            reused_fraction: r.get("reused_fraction")?.f64_bits()?,
-            overbooked_a_tiles: r.get("overbooked_a_tiles")?.usize_()?,
-            total_a_tiles: r.get("total_a_tiles")?.usize_()?,
-            overbooked_b_tiles: r.get("overbooked_b_tiles")?.usize_()?,
-            total_b_tiles: r.get("total_b_tiles")?.usize_()?,
-        },
-        plan: TilePlan {
-            gb_rows_a: p.get("gb_rows_a")?.usize_()?,
-            gb_cols_b: p.get("gb_cols_b")?.usize_()?,
-            pe_rows_a: p.get("pe_rows_a")?.usize_()?,
-            pe_cols_b: p.get("pe_cols_b")?.usize_()?,
-            full_k: p.get("full_k")?.bool_()?,
-            overbooking: p.get("overbooking")?.bool_()?,
-        },
-        scratch: ScratchStats {
-            col_blocks: s.get("col_blocks")?.usize_()?,
-            block_cols: s.get("block_cols")?.usize_()?,
-            bytes_per_thread: s.get("bytes_per_thread")?.u64_()?,
-            fits_budget: s.get("fits_budget")?.bool_()?,
-            grid: decode_grid(s.get("grid")?)?,
-            parallel_units: s.get("parallel_units")?.usize_()?,
-        },
-        bound_by: intern_bound_by(v.get("bound_by")?.str_()?),
-    })
+/// Reads an array straight into a `Vec`, one element per `read`.
+fn decode_vec<'a, T>(
+    c: &mut Cursor<'a>,
+    mut read: impl FnMut(&mut Cursor<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let mut v = Vec::new();
+    c.seq(b'[', b']', |c| {
+        v.push(read(c)?);
+        Ok(())
+    })?;
+    Ok(v)
 }
 
-fn encode_hits(h: &CacheHits) -> Json {
-    obj(vec![
-        ("tensor", Json::Bool(h.tensor)),
-        ("profile", Json::Bool(h.profile)),
-        ("plan", Json::Bool(h.plan)),
-    ])
-}
-
-fn decode_hits(v: &Json) -> Result<CacheHits, WireError> {
-    Ok(CacheHits {
-        tensor: v.get("tensor")?.bool_()?,
-        profile: v.get("profile")?.bool_()?,
-        plan: v.get("plan")?.bool_()?,
-    })
-}
-
-fn encode_csr(m: &CsrMatrix) -> Json {
-    obj(vec![
-        ("nrows", num_usize(m.nrows())),
-        ("ncols", num_usize(m.ncols())),
-        (
-            "row_ptr",
-            Json::Arr(m.row_ptr().iter().map(|&p| num_usize(p)).collect()),
-        ),
-        (
-            "cols",
-            Json::Arr(
-                m.col_indices()
-                    .iter()
-                    .map(|&c| num_u64(u64::from(c)))
-                    .collect(),
-            ),
-        ),
-        (
-            "vals",
-            Json::Arr(m.values().iter().map(|&x| bits(x)).collect()),
-        ),
-    ])
-}
-
-fn decode_csr(v: &Json) -> Result<CsrMatrix, WireError> {
-    let row_ptr = v
-        .get("row_ptr")?
-        .arr()?
-        .iter()
-        .map(Json::usize_)
-        .collect::<Result<Vec<_>, _>>()?;
-    let cols = v
-        .get("cols")?
-        .arr()?
-        .iter()
-        .map(Json::u32_)
-        .collect::<Result<Vec<_>, _>>()?;
-    let vals = v
-        .get("vals")?
-        .arr()?
-        .iter()
-        .map(Json::f64_bits)
-        .collect::<Result<Vec<_>, _>>()?;
+fn decode_csr(c: &mut Cursor<'_>) -> Result<CsrMatrix, WireError> {
+    let (mut nrows, mut ncols) = (None, None);
+    let (mut row_ptr, mut cols, mut vals) = (None, None, None);
+    c.object(|c, key| match key {
+        "nrows" => c.slot(&mut nrows, Cursor::uint),
+        "ncols" => c.slot(&mut ncols, Cursor::uint),
+        "row_ptr" => c.slot(&mut row_ptr, |c| decode_vec(c, Cursor::uint)),
+        "cols" => c.slot(&mut cols, |c| decode_vec(c, Cursor::uint::<u32>)),
+        "vals" => c.slot(&mut vals, |c| decode_vec(c, Cursor::f64_bits)),
+        _ => Ok(false),
+    })?;
     CsrMatrix::from_parts(
-        v.get("nrows")?.usize_()?,
-        v.get("ncols")?.usize_()?,
-        row_ptr,
-        cols,
-        vals,
+        required(nrows, "nrows")?,
+        required(ncols, "ncols")?,
+        required(row_ptr, "row_ptr")?,
+        required(cols, "cols")?,
+        required(vals, "vals")?,
     )
     .map_err(|e| malformed(format!("invalid CSR payload: {e:?}")))
 }
 
-fn encode_functional_config(c: &FunctionalConfig) -> Json {
-    obj(vec![
-        ("capacity", num_usize(c.capacity)),
-        ("fifo_region", num_usize(c.fifo_region)),
-        ("rows_a", num_usize(c.rows_a)),
-        ("cols_b", num_usize(c.cols_b)),
-        ("overbooking", Json::Bool(c.overbooking)),
-        ("mem_budget", encode_budget(c.mem_budget)),
-        ("grid", encode_grid(c.grid)),
-        ("auto_plan", Json::Bool(c.auto_plan)),
-    ])
+fn encode_functional_config(o: &mut Obj<'_>, c: &FunctionalConfig) {
+    o.num("capacity", c.capacity)
+        .num("fifo_region", c.fifo_region)
+        .num("rows_a", c.rows_a)
+        .num("cols_b", c.cols_b)
+        .flag("overbooking", c.overbooking)
+        .with("mem_budget", |out| encode_budget(c.mem_budget, out))
+        .str("grid", grid_name(c.grid))
+        .flag("auto_plan", c.auto_plan);
 }
 
-fn decode_functional_config(v: &Json) -> Result<FunctionalConfig, WireError> {
-    Ok(FunctionalConfig {
-        capacity: v.get("capacity")?.usize_()?,
-        fifo_region: v.get("fifo_region")?.usize_()?,
-        rows_a: v.get("rows_a")?.usize_()?,
-        cols_b: v.get("cols_b")?.usize_()?,
-        overbooking: v.get("overbooking")?.bool_()?,
-        mem_budget: decode_budget(v.get("mem_budget")?)?,
-        grid: decode_grid(v.get("grid")?)?,
-        auto_plan: v.get("auto_plan")?.bool_()?,
+fn decode_functional_config(c: &mut Cursor<'_>) -> Result<FunctionalConfig, WireError> {
+    decode_struct!(c => FunctionalConfig {
+        capacity: Cursor::uint,
+        fifo_region: Cursor::uint,
+        rows_a: Cursor::uint,
+        cols_b: Cursor::uint,
+        overbooking: Cursor::bool_,
+        mem_budget: decode_budget,
+        grid: decode_grid,
+        auto_plan: Cursor::bool_,
     })
 }
 
-fn encode_sim_response(r: &SimResponse) -> Json {
-    obj(vec![
-        ("name", Json::Str(r.name.to_string())),
-        ("metrics", encode_metrics(&r.metrics)),
-        ("hits", encode_hits(&r.hits)),
-    ])
+fn encode_functional_response(o: &mut Obj<'_>, r: &FunctionalResponse) {
+    o.obj("config", |o| encode_functional_config(o, &r.config))
+        .obj("result", |o| {
+            o.obj("z", |o| encode_csr(o, &r.result.z))
+                .num("dram_a_fetches", r.result.dram_a_fetches)
+                .num("dram_b_fetches", r.result.dram_b_fetches)
+                .num("overbooked_a_tiles", r.result.overbooked_a_tiles);
+        })
+        .obj("hits", |o| encode_hits(o, &r.hits));
 }
 
-fn decode_sim_response(v: &Json) -> Result<SimResponse, WireError> {
-    Ok(SimResponse {
-        name: intern_workload_name(v.get("name")?.str_()?),
-        metrics: decode_metrics(v.get("metrics")?)?,
-        hits: decode_hits(v.get("hits")?)?,
-    })
-}
-
-fn encode_functional_response(r: &FunctionalResponse) -> Json {
-    obj(vec![
-        ("config", encode_functional_config(&r.config)),
-        (
-            "result",
-            obj(vec![
-                ("z", encode_csr(&r.result.z)),
-                ("dram_a_fetches", num_u64(r.result.dram_a_fetches)),
-                ("dram_b_fetches", num_u64(r.result.dram_b_fetches)),
-                ("overbooked_a_tiles", num_usize(r.result.overbooked_a_tiles)),
-            ]),
-        ),
-        ("hits", encode_hits(&r.hits)),
-    ])
-}
-
-fn decode_functional_response(v: &Json) -> Result<FunctionalResponse, WireError> {
-    let res = v.get("result")?;
-    Ok(FunctionalResponse {
-        config: decode_functional_config(v.get("config")?)?,
-        result: FunctionalResult {
-            z: decode_csr(res.get("z")?)?,
-            dram_a_fetches: res.get("dram_a_fetches")?.u64_()?,
-            dram_b_fetches: res.get("dram_b_fetches")?.u64_()?,
-            overbooked_a_tiles: res.get("overbooked_a_tiles")?.usize_()?,
-        },
-        hits: decode_hits(v.get("hits")?)?,
-    })
-}
-
-fn encode_serve_error(e: &ServeError) -> Json {
-    match e {
-        ServeError::Overloaded(OverloadReason::MailboxFull { capacity }) => obj(vec![
-            ("code", Json::Str("overloaded".into())),
-            ("reason", Json::Str("mailbox-full".into())),
-            ("capacity", num_usize(*capacity)),
-        ]),
-        ServeError::Overloaded(OverloadReason::TensorBytes { estimated, limit }) => obj(vec![
-            ("code", Json::Str("overloaded".into())),
-            ("reason", Json::Str("tensor-bytes".into())),
-            ("estimated", num_u64(*estimated)),
-            ("limit", num_u64(*limit)),
-        ]),
-        ServeError::Overloaded(OverloadReason::PlanPressure { pressure, hit_rate }) => obj(vec![
-            ("code", Json::Str("overloaded".into())),
-            ("reason", Json::Str("plan-pressure".into())),
-            ("pressure", bits(*pressure)),
-            ("hit_rate", bits(*hit_rate)),
-        ]),
-        ServeError::Timeout { deadline } => obj(vec![
-            ("code", Json::Str("timeout".into())),
-            ("deadline_secs", num_u64(deadline.as_secs())),
-            (
-                "deadline_nanos",
-                num_u64(u64::from(deadline.subsec_nanos())),
-            ),
-        ]),
-        ServeError::Faulted { panic, message } => obj(vec![
-            ("code", Json::Str("faulted".into())),
-            ("panic", Json::Bool(*panic)),
-            ("message", Json::Str(message.clone())),
-        ]),
-        ServeError::BadRequest(m) => obj(vec![
-            ("code", Json::Str("bad-request".into())),
-            ("message", Json::Str(m.clone())),
-        ]),
-        ServeError::Shutdown => obj(vec![("code", Json::Str("shutdown".into()))]),
+fn decode_reply_body(c: &mut Cursor<'_>, kind: &str) -> Result<Reply, WireError> {
+    match kind {
+        "sim" => decode_struct!(c => SimResponse {
+            name: |c| Ok(intern_workload_name(&c.string()?)),
+            metrics: decode_metrics,
+            hits: decode_hits,
+        })
+        .map(Reply::Sim),
+        "functional" => decode_struct!(c => FunctionalResponse {
+            config: decode_functional_config,
+            result: |c| decode_struct!(c => FunctionalResult {
+                z: decode_csr,
+                dram_a_fetches: Cursor::uint,
+                dram_b_fetches: Cursor::uint,
+                overbooked_a_tiles: Cursor::uint,
+            }),
+            hits: decode_hits,
+        })
+        .map(|r| Reply::Functional(Box::new(r))),
+        other => Err(malformed(format!("unknown reply kind {other:?}"))),
     }
 }
 
-fn decode_serve_error(v: &Json) -> Result<ServeError, WireError> {
-    match v.get("code")?.str_()? {
-        "overloaded" => match v.get("reason")?.str_()? {
-            "mailbox-full" => Ok(ServeError::Overloaded(OverloadReason::MailboxFull {
-                capacity: v.get("capacity")?.usize_()?,
-            })),
-            "tensor-bytes" => Ok(ServeError::Overloaded(OverloadReason::TensorBytes {
-                estimated: v.get("estimated")?.u64_()?,
-                limit: v.get("limit")?.u64_()?,
-            })),
-            "plan-pressure" => Ok(ServeError::Overloaded(OverloadReason::PlanPressure {
-                pressure: v.get("pressure")?.f64_bits()?,
-                hit_rate: v.get("hit_rate")?.f64_bits()?,
-            })),
-            other => Err(malformed(format!("unknown overload reason {other:?}"))),
-        },
+fn encode_serve_error(o: &mut Obj<'_>, e: &ServeError) {
+    match e {
+        ServeError::Overloaded(OverloadReason::MailboxFull { capacity }) => o
+            .str("code", "overloaded")
+            .str("reason", "mailbox-full")
+            .num("capacity", capacity),
+        ServeError::Overloaded(OverloadReason::TensorBytes { estimated, limit }) => o
+            .str("code", "overloaded")
+            .str("reason", "tensor-bytes")
+            .num("estimated", estimated)
+            .num("limit", limit),
+        ServeError::Overloaded(OverloadReason::PlanPressure { pressure, hit_rate }) => o
+            .str("code", "overloaded")
+            .str("reason", "plan-pressure")
+            .bits("pressure", *pressure)
+            .bits("hit_rate", *hit_rate),
+        ServeError::Timeout { deadline } => o
+            .str("code", "timeout")
+            .num("deadline_secs", deadline.as_secs())
+            .num("deadline_nanos", deadline.subsec_nanos()),
+        ServeError::Faulted { panic, message } => o
+            .str("code", "faulted")
+            .flag("panic", *panic)
+            .str("message", message),
+        ServeError::BadRequest(m) => o.str("code", "bad-request").str("message", m),
+        ServeError::Shutdown => o.str("code", "shutdown"),
+    };
+}
+
+/// Every key an error object may carry is read whatever its `code`; the
+/// code then picks the ones it needs.
+fn decode_serve_error(c: &mut Cursor<'_>) -> Result<ServeError, WireError> {
+    let (mut code, mut reason, mut message, mut panic) = (None, None, None, None);
+    let (mut capacity, mut estimated, mut limit) = (None, None, None);
+    let (mut pressure, mut hit_rate, mut secs, mut nanos) = (None, None, None, None);
+    c.object(|c, key| match key {
+        "code" => c.slot(&mut code, Cursor::string),
+        "reason" => c.slot(&mut reason, Cursor::string),
+        "message" => c.slot(&mut message, Cursor::string),
+        "panic" => c.slot(&mut panic, Cursor::bool_),
+        "capacity" => c.slot(&mut capacity, Cursor::uint),
+        "estimated" => c.slot(&mut estimated, Cursor::uint),
+        "limit" => c.slot(&mut limit, Cursor::uint),
+        "pressure" => c.slot(&mut pressure, Cursor::f64_bits),
+        "hit_rate" => c.slot(&mut hit_rate, Cursor::f64_bits),
+        "deadline_secs" => c.slot(&mut secs, Cursor::uint),
+        "deadline_nanos" => c.slot(&mut nanos, Cursor::uint),
+        _ => Ok(false),
+    })?;
+    match &*required(code, "code")? {
+        "overloaded" => Ok(ServeError::Overloaded(
+            match &*required(reason, "reason")? {
+                "mailbox-full" => OverloadReason::MailboxFull {
+                    capacity: required(capacity, "capacity")?,
+                },
+                "tensor-bytes" => OverloadReason::TensorBytes {
+                    estimated: required(estimated, "estimated")?,
+                    limit: required(limit, "limit")?,
+                },
+                "plan-pressure" => OverloadReason::PlanPressure {
+                    pressure: required(pressure, "pressure")?,
+                    hit_rate: required(hit_rate, "hit_rate")?,
+                },
+                other => return Err(malformed(format!("unknown overload reason {other:?}"))),
+            },
+        )),
         "timeout" => {
-            let secs = v.get("deadline_secs")?.u64_()?;
-            let nanos = v.get("deadline_nanos")?.u64_()?;
-            let nanos =
-                u32::try_from(nanos).map_err(|_| malformed("timeout nanos out of range"))?;
+            let nanos: u32 = required(nanos, "deadline_nanos")?;
             if nanos >= 1_000_000_000 {
                 return Err(malformed("timeout nanos out of range"));
             }
             Ok(ServeError::Timeout {
-                deadline: Duration::new(secs, nanos),
+                deadline: Duration::new(required(secs, "deadline_secs")?, nanos),
             })
         }
         "faulted" => Ok(ServeError::Faulted {
-            panic: v.get("panic")?.bool_()?,
-            message: v.get("message")?.str_()?.to_string(),
+            panic: required(panic, "panic")?,
+            message: required(message, "message")?.into_owned(),
         }),
         "bad-request" => Ok(ServeError::BadRequest(
-            v.get("message")?.str_()?.to_string(),
+            required(message, "message")?.into_owned(),
         )),
         "shutdown" => Ok(ServeError::Shutdown),
         // A protocol-level error reply from the server: surface it as the
         // bad request it (from the server's view) was.
         "malformed" => Ok(ServeError::BadRequest(format!(
             "protocol error: {}",
-            v.get("message")?.str_()?
+            required(message, "message")?
         ))),
         other => Err(malformed(format!("unknown error code {other:?}"))),
     }
@@ -1101,19 +1048,18 @@ pub fn encode_request_into(id: u64, work: &Work, out: &mut String) {
 /// on its low-priority lane (cache-warming replay must never delay live
 /// traffic).
 pub fn encode_request_flagged_into(id: u64, work: &Work, warm: bool, out: &mut String) {
-    let (kind, req) = match work {
-        Work::Sim(r) => ("sim", encode_sim_request(r)),
-        Work::Functional(r) => ("functional", encode_functional_request(r)),
+    let kind = match work {
+        Work::Sim(_) => "sim",
+        Work::Functional(_) => "functional",
     };
-    let mut fields = vec![
-        ("id", num_u64(id)),
-        ("kind", Json::Str(kind.into())),
-        ("req", req),
-    ];
-    if warm {
-        fields.push(("warm", Json::Bool(true)));
-    }
-    obj(fields).render_into(out);
+    Obj::line(out, |o| {
+        o.num("id", id)
+            .str("kind", kind)
+            .obj("req", |o| encode_work(o, work));
+        if warm {
+            o.flag("warm", true);
+        }
+    });
 }
 
 /// Encodes a ping request line: `{"id":N,"kind":"ping"}` — no payload.
@@ -1121,59 +1067,71 @@ pub fn encode_request_flagged_into(id: u64, work: &Work, warm: bool, out: &mut S
 /// so a ping is safe against a wedged worker pool and never enters the
 /// outcome ledger.
 pub fn encode_ping_into(id: u64, out: &mut String) {
-    obj(vec![
-        ("id", num_u64(id)),
-        ("kind", Json::Str("ping".into())),
-    ])
-    .render_into(out);
+    Obj::line(out, |o| {
+        o.num("id", id).str("kind", "ping");
+    });
 }
 
 /// Encodes the pong reply to a ping: the envelope carries a snapshot of
 /// the shard runtime's outcome counters, so one probe both proves
 /// liveness and fetches shard stats.
 pub fn encode_pong_into(id: u64, stats: &RuntimeStats, out: &mut String) {
-    obj(vec![
-        ("id", num_u64(id)),
-        (
-            "ok",
-            obj(vec![
-                ("kind", Json::Str("pong".into())),
-                ("stats", encode_runtime_stats(stats)),
-            ]),
-        ),
-    ])
-    .render_into(out);
+    Obj::line(out, |o| {
+        o.num("id", id).obj("ok", |o| {
+            o.str("kind", "pong").obj("stats", |o| {
+                o.num("submitted", stats.submitted)
+                    .num("completed", stats.completed)
+                    .num("rejected", stats.rejected)
+                    .num("timed_out", stats.timed_out)
+                    .num("faulted", stats.faulted)
+                    .num("panics_isolated", stats.panics_isolated)
+                    .num("retries", stats.retries)
+                    .num("injected_panics", stats.injected_panics)
+                    .num("injected_latency", stats.injected_latency)
+                    .num("injected_rejects", stats.injected_rejects)
+                    .num("injected_drops", stats.injected_drops);
+            });
+        });
+    });
 }
 
-fn encode_runtime_stats(s: &RuntimeStats) -> Json {
-    obj(vec![
-        ("submitted", num_u64(s.submitted)),
-        ("completed", num_u64(s.completed)),
-        ("rejected", num_u64(s.rejected)),
-        ("timed_out", num_u64(s.timed_out)),
-        ("faulted", num_u64(s.faulted)),
-        ("panics_isolated", num_u64(s.panics_isolated)),
-        ("retries", num_u64(s.retries)),
-        ("injected_panics", num_u64(s.injected_panics)),
-        ("injected_latency", num_u64(s.injected_latency)),
-        ("injected_rejects", num_u64(s.injected_rejects)),
-        ("injected_drops", num_u64(s.injected_drops)),
-    ])
+/// Decodes a pong line into `(id, stats)`.
+fn decode_pong(line: &str) -> Result<(u64, RuntimeStats), WireError> {
+    decode_line(line, |c| {
+        let (mut id, mut stats) = (None, None);
+        c.object(|c, key| match key {
+            "id" => c.slot(&mut id, Cursor::uint),
+            "ok" => c.slot(&mut stats, |c| {
+                let (mut kind, mut stats) = (None, None);
+                c.object(|c, key| match key {
+                    "kind" => c.slot(&mut kind, Cursor::string),
+                    "stats" => c.slot(&mut stats, decode_runtime_stats),
+                    _ => Ok(false),
+                })?;
+                if required(kind, "kind")? != "pong" {
+                    return Err(malformed("ping answered by a non-pong reply"));
+                }
+                required(stats, "stats")
+            }),
+            _ => Ok(false),
+        })?;
+        Ok((required(id, "id")?, required(stats, "ok")?))
+    })
 }
 
-fn decode_runtime_stats(v: &Json) -> Result<RuntimeStats, WireError> {
-    Ok(RuntimeStats {
-        submitted: v.get("submitted")?.u64_()?,
-        completed: v.get("completed")?.u64_()?,
-        rejected: v.get("rejected")?.u64_()?,
-        timed_out: v.get("timed_out")?.u64_()?,
-        faulted: v.get("faulted")?.u64_()?,
-        panics_isolated: v.get("panics_isolated")?.u64_()?,
-        retries: v.get("retries")?.u64_()?,
-        injected_panics: v.get("injected_panics")?.u64_()?,
-        injected_latency: v.get("injected_latency")?.u64_()?,
-        injected_rejects: v.get("injected_rejects")?.u64_()?,
-        injected_drops: v.get("injected_drops")?.u64_()?,
+fn decode_runtime_stats(c: &mut Cursor<'_>) -> Result<RuntimeStats, WireError> {
+    decode_struct!(c => RuntimeStats {
+        submitted: Cursor::uint,
+        completed: Cursor::uint,
+        rejected: Cursor::uint,
+        timed_out: Cursor::uint,
+        faulted: Cursor::uint,
+        panics_isolated: Cursor::uint,
+        retries: Cursor::uint,
+        injected_panics: Cursor::uint,
+        injected_latency: Cursor::uint,
+        injected_rejects: Cursor::uint,
+        injected_drops: Cursor::uint,
     })
 }
 
@@ -1205,23 +1163,30 @@ pub enum WireRequest {
 /// [`WireError::Malformed`] for anything that is not a well-formed
 /// request; never panics.
 pub fn decode_request_line(line: &str) -> Result<(u64, WireRequest), WireError> {
-    let v = Json::parse(line)?;
-    let id = v.get("id")?.u64_()?;
-    let kind = v.get("kind")?.str_()?;
-    if kind == "ping" {
-        return Ok((id, WireRequest::Ping));
-    }
-    let req = v.get("req")?;
-    let work = match kind {
-        "sim" => Work::Sim(decode_sim_request(req)?),
-        "functional" => Work::Functional(Box::new(decode_functional_request(req)?)),
-        other => return Err(malformed(format!("unknown request kind {other:?}"))),
-    };
-    let warm = match v.opt("warm") {
-        Some(w) => w.bool_()?,
-        None => false,
-    };
-    Ok((id, WireRequest::Work { work, warm }))
+    decode_line(line, |c| {
+        let (mut id, mut kind, mut warm, mut req) = (None, None, None, None);
+        c.object(|c, key| match key {
+            "id" => c.slot(&mut id, Cursor::uint),
+            "kind" => c.slot(&mut kind, Cursor::string),
+            "warm" => c.slot(&mut warm, Cursor::bool_),
+            // A ping carries no payload; any `req` it has is skipped.
+            "req" if kind.as_deref() != Some("ping") => {
+                c.slot(&mut req, |c| payload(c, kind.as_deref(), decode_work))
+            }
+            _ => Ok(false),
+        })?;
+        let id = required(id, "id")?;
+        let kind = required(kind, "kind")?;
+        if kind == "ping" {
+            return Ok((id, WireRequest::Ping));
+        }
+        let work = match required(req, "req")? {
+            Ok(work) => work,
+            Err(mut at) => decode_work(&mut at, &kind)?,
+        };
+        let warm = warm.unwrap_or(false);
+        Ok((id, WireRequest::Work { work, warm }))
+    })
 }
 
 /// Encodes one reply line (no trailing newline) into a reusable buffer
@@ -1231,44 +1196,36 @@ pub fn decode_request_line(line: &str) -> Result<(u64, WireRequest), WireError> 
 /// protocol-level (`malformed`) error replies, which answer lines whose
 /// id could not be read.
 pub fn encode_reply_into(id: Option<u64>, outcome: &Result<Reply, ServeError>, out: &mut String) {
-    let id_json = match id {
-        Some(id) => num_u64(id),
-        None => Json::Null,
-    };
-    let body = match outcome {
-        Ok(Reply::Sim(r)) => (
-            "ok",
-            obj(vec![
-                ("kind", Json::Str("sim".into())),
-                ("resp", encode_sim_response(r)),
-            ]),
-        ),
-        Ok(Reply::Functional(r)) => (
-            "ok",
-            obj(vec![
-                ("kind", Json::Str("functional".into())),
-                ("resp", encode_functional_response(r)),
-            ]),
-        ),
-        Err(e) => ("err", encode_serve_error(e)),
-    };
-    obj(vec![("id", id_json), (body.0, body.1)]).render_into(out);
+    Obj::line(out, |o| {
+        match id {
+            Some(id) => o.num("id", id),
+            None => o.with("id", |out| out.push_str("null")),
+        };
+        match outcome {
+            Ok(Reply::Sim(r)) => o.obj("ok", |o| {
+                o.str("kind", "sim").obj("resp", |o| {
+                    o.str("name", r.name)
+                        .obj("metrics", |o| encode_metrics(o, &r.metrics))
+                        .obj("hits", |o| encode_hits(o, &r.hits));
+                });
+            }),
+            Ok(Reply::Functional(r)) => o.obj("ok", |o| {
+                o.str("kind", "functional")
+                    .obj("resp", |o| encode_functional_response(o, r));
+            }),
+            Err(e) => o.obj("err", |o| encode_serve_error(o, e)),
+        };
+    });
 }
 
 /// Encodes the protocol-level error reply for an undecodable line into a
 /// reusable buffer (cleared first).
 pub fn encode_malformed_reply_into(err: &WireError, out: &mut String) {
-    obj(vec![
-        ("id", Json::Null),
-        (
-            "err",
-            obj(vec![
-                ("code", Json::Str("malformed".into())),
-                ("message", Json::Str(err.to_string())),
-            ]),
-        ),
-    ])
-    .render_into(out);
+    Obj::line(out, |o| {
+        o.with("id", |out| out.push_str("null")).obj("err", |o| {
+            o.str("code", "malformed").str("message", &err.to_string());
+        });
+    });
 }
 
 /// Decodes one reply line into `(id, outcome)`; `id` is `None` for
@@ -1278,29 +1235,53 @@ pub fn encode_malformed_reply_into(err: &WireError, out: &mut String) {
 ///
 /// [`WireError::Malformed`] for anything that is not a well-formed reply.
 pub fn decode_reply(line: &str) -> Result<(Option<u64>, Result<Reply, ServeError>), WireError> {
-    let v = Json::parse(line)?;
-    let id = match v.get("id")? {
-        Json::Null => None,
-        other => Some(other.u64_()?),
-    };
-    if let Some(ok) = v.opt("ok") {
-        let resp = ok.get("resp")?;
-        let reply = match ok.get("kind")?.str_()? {
-            "sim" => Reply::Sim(decode_sim_response(resp)?),
-            "functional" => Reply::Functional(Box::new(decode_functional_response(resp)?)),
-            other => return Err(malformed(format!("unknown reply kind {other:?}"))),
-        };
-        return Ok((id, Ok(reply)));
-    }
-    if let Some(err) = v.opt("err") {
-        return Ok((id, Err(decode_serve_error(err)?)));
-    }
-    Err(malformed("reply has neither \"ok\" nor \"err\""))
+    decode_line(line, |c| {
+        let (mut id, mut ok, mut err) = (None, None, None);
+        c.object(|c, key| match key {
+            "id" => c.slot(&mut id, |c| {
+                if c.keyword("null") {
+                    Ok(None)
+                } else {
+                    c.uint().map(Some)
+                }
+            }),
+            "ok" => c.slot(&mut ok, |c| {
+                let (mut kind, mut resp) = (None, None);
+                c.object(|c, key| match key {
+                    "kind" => c.slot(&mut kind, Cursor::string),
+                    "resp" => c.slot(&mut resp, |c| {
+                        payload(c, kind.as_deref(), decode_reply_body)
+                    }),
+                    _ => Ok(false),
+                })?;
+                let kind = required(kind, "kind")?;
+                match required(resp, "resp")? {
+                    Ok(reply) => Ok(reply),
+                    Err(mut at) => decode_reply_body(&mut at, &kind),
+                }
+            }),
+            "err" => c.slot(&mut err, decode_serve_error),
+            _ => Ok(false),
+        })?;
+        let id = required(id, "id")?;
+        match (ok, err) {
+            (Some(reply), _) => Ok((id, Ok(reply))),
+            (None, Some(e)) => Ok((id, Err(e))),
+            (None, None) => Err(malformed("reply has neither \"ok\" nor \"err\"")),
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
+
+/// The longest request line a server session buffers, newline excluded.
+/// Requests carry workload specs, not tensors (the largest is well under
+/// 1 KiB), so anything this long is hostile or corrupt: it is drained to
+/// its newline unbuffered and answered with a `malformed` reply.
+/// Reply lines are not capped — a functional reply can be tens of MB.
+const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
 
 /// What one wire session (connection or stdio stream) observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1314,6 +1295,54 @@ pub struct WireServeReport {
     pub pings: u64,
 }
 
+/// One request line as a session reads it: the bytes kept (at most
+/// [`MAX_REQUEST_LINE_BYTES`], newline excluded) and whether the line ran
+/// past the cap. Both buffers are reused across a session's requests.
+#[derive(Default)]
+struct RequestLine {
+    bytes: Vec<u8>,
+    too_long: bool,
+}
+
+impl RequestLine {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.too_long = false;
+    }
+
+    fn is_blank(&self) -> bool {
+        !self.too_long && self.bytes.trim_ascii().is_empty()
+    }
+
+    /// Reads on to the end of the line, appending to what an earlier,
+    /// interrupted call kept. Returns `Ok(true)` at the newline and
+    /// `Ok(false)` at end of stream. An error — a read timeout included —
+    /// leaves the bytes read so far in place, so the caller can resume.
+    fn read_from(&mut self, reader: &mut impl BufRead) -> std::io::Result<bool> {
+        loop {
+            let buf = match reader.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if buf.is_empty() {
+                return Ok(false);
+            }
+            let newline = buf.iter().position(|&b| b == b'\n');
+            let chunk = &buf[..newline.unwrap_or(buf.len())];
+            let room = MAX_REQUEST_LINE_BYTES - self.bytes.len();
+            self.too_long |= chunk.len() > room;
+            self.bytes
+                .extend_from_slice(&chunk[..chunk.len().min(room)]);
+            let used = newline.map_or(buf.len(), |i| i + 1);
+            reader.consume(used);
+            if newline.is_some() {
+                return Ok(true);
+            }
+        }
+    }
+}
+
 /// Serves line-delimited requests from `reader`, writing one reply per
 /// line to `writer`, until the reader reaches end of stream. Malformed
 /// lines are answered (never dropped, never fatal); requests are
@@ -1324,46 +1353,10 @@ pub struct WireServeReport {
 /// Only transport I/O errors; protocol problems are replies.
 pub fn serve_lines<R: BufRead, W: Write>(
     runtime: &ServiceRuntime,
-    mut reader: R,
-    mut writer: W,
+    reader: R,
+    writer: W,
 ) -> std::io::Result<WireServeReport> {
-    let mut report = WireServeReport::default();
-    // One request-line and one reply buffer per session, reused across
-    // every request: in the steady state both have ratcheted up to the
-    // largest message seen and the codec stops touching the allocator.
-    let mut line = String::new();
-    let mut reply = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(report);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_request_line(line.trim_end_matches(['\n', '\r'])) {
-            Ok((id, WireRequest::Ping)) => {
-                report.pings += 1;
-                encode_pong_into(id, &runtime.stats(), &mut reply);
-            }
-            Ok((id, WireRequest::Work { work, warm })) => {
-                report.served += 1;
-                let outcome = if warm {
-                    runtime.submit_warm(work)
-                } else {
-                    runtime.submit(work)
-                };
-                encode_reply_into(Some(id), &outcome, &mut reply);
-            }
-            Err(e) => {
-                report.protocol_errors += 1;
-                encode_malformed_reply_into(&e, &mut reply);
-            }
-        }
-        reply.push('\n');
-        writer.write_all(reply.as_bytes())?;
-        writer.flush()?;
-    }
+    serve_session(runtime, reader, writer, None)
 }
 
 /// How often an idle TCP session wakes from its blocking read to check
@@ -1373,36 +1366,36 @@ const SESSION_READ_TICK: Duration = Duration::from_millis(25);
 /// before dropping the connection.
 const STOP_GRACE_READS: u32 = 40;
 
-/// TCP session loop: like [`serve_lines`], but wakes from its (timed)
-/// socket read between requests to honor the server's stop flag — an
+/// The one session loop behind [`serve_lines`] and the TCP sessions of
+/// [`WireTcpServer`]. `stop` is the TCP server's stop flag: a TCP session
+/// reads with a timeout and wakes between requests to honor it — an
 /// idle client holding its connection open must not be able to hold
 /// [`WireTcpServer::stop`] hostage. The in-flight request (if any)
 /// always completes and its reply is written before the session exits;
-/// only *waiting for the next request* is interruptible.
-fn serve_connection(
+/// only *waiting for the next request* is interruptible. TCP sessions
+/// alone also honor the runtime's `drop_conn` fault.
+fn serve_session<R: BufRead, W: Write>(
     runtime: &ServiceRuntime,
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    stop: &AtomicBool,
+    mut reader: R,
+    mut writer: W,
+    stop: Option<&AtomicBool>,
 ) -> std::io::Result<WireServeReport> {
-    use std::io::BufRead as _;
     let mut report = WireServeReport::default();
-    let mut line = String::new();
-    // Reused across requests like `line`: steady-state replies render
-    // into retained capacity instead of allocating a line per reply.
+    // One request-line and one reply buffer per session, reused across
+    // every request: in the steady state both have ratcheted up to the
+    // largest message seen and the codec stops touching the allocator.
+    let mut line = RequestLine::default();
     let mut reply = String::new();
     let mut stop_grace = 0u32;
     loop {
         line.clear();
-        // Accumulate one line across read timeouts: `read_line` appends
+        // Accumulate one line across read timeouts: each read appends
         // whatever arrived before the timeout, so a request split across
         // TCP segments survives any number of stop-flag checks.
-        let eof = loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => break true,
-                Ok(_) if line.ends_with('\n') => break false,
-                Ok(_) => {} // mid-line: keep reading
-                Err(e)
+        let complete = loop {
+            match (line.read_from(&mut reader), stop) {
+                (Ok(complete), _) => break complete,
+                (Err(e), Some(stop))
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
@@ -1413,56 +1406,62 @@ fn serve_connection(
                         // grace for the rest of the line, then give up —
                         // a half-sent request must not stall shutdown
                         // indefinitely either.
-                        if line.trim().is_empty() || stop_grace >= STOP_GRACE_READS {
+                        if line.is_blank() || stop_grace >= STOP_GRACE_READS {
                             return Ok(report);
                         }
                         stop_grace += 1;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                (Err(e), _) => return Err(e),
             }
         };
-        if eof && line.trim().is_empty() {
-            return Ok(report);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_request_line(line.trim_end_matches(['\n', '\r'])) {
-            Ok((id, WireRequest::Ping)) => {
-                report.pings += 1;
-                encode_pong_into(id, &runtime.stats(), &mut reply);
-            }
-            Ok((id, WireRequest::Work { work, warm })) => {
-                // The `drop_conn` fault severs the session *here* — after
-                // the work decoded, before anything reaches the runtime —
-                // so the client sees EOF on an in-flight request and must
-                // reconnect + resend; nothing enters the ledger. Pings
-                // are exempt: a probe must stay answerable under the same
-                // fault plan the failover paths are being exercised with.
-                if runtime.fire_conn_drop() {
-                    return Ok(report);
+        if !line.is_blank() {
+            let decoded = if line.too_long {
+                Err(malformed(format!(
+                    "request line exceeds the {MAX_REQUEST_LINE_BYTES}-byte limit"
+                )))
+            } else {
+                std::str::from_utf8(&line.bytes)
+                    .map_err(|e| malformed(format!("request line is not UTF-8: {e}")))
+                    .and_then(|text| decode_request_line(text.trim_end_matches('\r')))
+            };
+            match decoded {
+                Ok((id, WireRequest::Ping)) => {
+                    report.pings += 1;
+                    encode_pong_into(id, &runtime.stats(), &mut reply);
                 }
-                report.served += 1;
-                let outcome = if warm {
-                    runtime.submit_warm(work)
-                } else {
-                    runtime.submit(work)
-                };
-                encode_reply_into(Some(id), &outcome, &mut reply);
+                Ok((id, WireRequest::Work { work, warm })) => {
+                    // The `drop_conn` fault severs the session *here* —
+                    // after the work decoded, before anything reaches the
+                    // runtime — so the client sees EOF on an in-flight
+                    // request and must reconnect + resend; nothing enters
+                    // the ledger. Pings are exempt: a probe must stay
+                    // answerable under the same fault plan the failover
+                    // paths are being exercised with.
+                    if stop.is_some() && runtime.fire_conn_drop() {
+                        return Ok(report);
+                    }
+                    report.served += 1;
+                    let outcome = if warm {
+                        runtime.submit_warm(work)
+                    } else {
+                        runtime.submit(work)
+                    };
+                    encode_reply_into(Some(id), &outcome, &mut reply);
+                }
+                Err(e) => {
+                    report.protocol_errors += 1;
+                    encode_malformed_reply_into(&e, &mut reply);
+                }
             }
-            Err(e) => {
-                report.protocol_errors += 1;
-                encode_malformed_reply_into(&e, &mut reply);
-            }
+            // One write per reply — a separate tiny "\n" write would
+            // incur the Nagle/delayed-ACK stall `set_nodelay` exists to
+            // avoid.
+            reply.push('\n');
+            writer.write_all(reply.as_bytes())?;
+            writer.flush()?;
         }
-        // One write per reply — a separate tiny "\n" write would incur
-        // the Nagle/delayed-ACK stall `set_nodelay` exists to avoid.
-        reply.push('\n');
-        writer.write_all(reply.as_bytes())?;
-        writer.flush()?;
-        if eof {
+        if !complete {
             return Ok(report);
         }
     }
@@ -1515,11 +1514,11 @@ impl WireTcpServer {
                         .name("tailors-wire-conn".into())
                         .spawn(move || {
                             if let Ok(read_half) = stream.try_clone() {
-                                let _ = serve_connection(
+                                let _ = serve_session(
                                     &runtime,
                                     BufReader::new(read_half),
                                     stream,
-                                    &stop3,
+                                    Some(&stop3),
                                 );
                             }
                         });
@@ -1734,33 +1733,14 @@ impl WireClient {
     /// Transport failure, or a malformed/mismatched pong.
     pub fn ping(&mut self) -> Result<RuntimeStats, WireError> {
         let id = self.next_id;
-        self.next_id += 1;
         encode_ping_into(id, &mut self.line);
-        self.line.push('\n');
-        self.writer
-            .write_all(self.line.as_bytes())
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| WireError::Io(e.to_string()))?;
-        self.reply_line.clear();
-        let n = self
-            .reader
-            .read_line(&mut self.reply_line)
-            .map_err(|e| WireError::Io(e.to_string()))?;
-        if n == 0 {
-            return Err(WireError::Io("server closed the connection".into()));
-        }
-        let v = Json::parse(self.reply_line.trim_end())?;
-        let rid = v.get("id")?.u64_()?;
+        let (rid, stats) = decode_pong(self.exchange()?)?;
         if rid != id {
             return Err(malformed(format!(
                 "pong id {rid} does not match ping id {id}"
             )));
         }
-        let ok = v.get("ok")?;
-        if ok.get("kind")?.str_()? != "pong" {
-            return Err(malformed("ping answered by a non-pong reply"));
-        }
-        decode_runtime_stats(ok.get("stats")?)
+        Ok(stats)
     }
 
     fn call_flagged(
@@ -1769,24 +1749,8 @@ impl WireClient {
         warm: bool,
     ) -> Result<Result<Reply, ServeError>, WireError> {
         let id = self.next_id;
-        self.next_id += 1;
-        // One syscall per message: a trailing small write of just "\n"
-        // would re-trigger the Nagle stall `set_nodelay` avoids.
         encode_request_flagged_into(id, work, warm, &mut self.line);
-        self.line.push('\n');
-        self.writer
-            .write_all(self.line.as_bytes())
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| WireError::Io(e.to_string()))?;
-        self.reply_line.clear();
-        let n = self
-            .reader
-            .read_line(&mut self.reply_line)
-            .map_err(|e| WireError::Io(e.to_string()))?;
-        if n == 0 {
-            return Err(WireError::Io("server closed the connection".into()));
-        }
-        let (reply_id, outcome) = decode_reply(self.reply_line.trim_end())?;
+        let (reply_id, outcome) = decode_reply(self.exchange()?)?;
         match reply_id {
             // A protocol-level (id-less) error reply still answers *this*
             // request: the protocol is strictly one reply per line, in
@@ -1797,6 +1761,28 @@ impl WireClient {
                 "reply id {rid} does not match request id {id}"
             ))),
         }
+    }
+
+    /// Sends the encoded `self.line` under the next id and returns the
+    /// reply line (newline trimmed).
+    fn exchange(&mut self) -> Result<&str, WireError> {
+        self.next_id += 1;
+        // One syscall per message: a trailing small write of just "\n"
+        // would re-trigger the Nagle stall `set_nodelay` avoids.
+        self.line.push('\n');
+        self.writer
+            .write_all(self.line.as_bytes())
+            .and_then(|()| self.writer.flush())
+            .map_err(|e| WireError::Io(e.to_string()))?;
+        self.reply_line.clear();
+        let n = self
+            .reader
+            .read_line(&mut self.reply_line)
+            .map_err(|e| WireError::Io(e.to_string()))?;
+        if n == 0 {
+            return Err(WireError::Io("server closed the connection".into()));
+        }
+        Ok(self.reply_line.trim_end())
     }
 
     /// [`WireClient::call`] with client-side capped-exponential-backoff
@@ -1891,22 +1877,25 @@ impl WireClient {
 mod tests {
     use super::*;
 
+    /// Reads `line` as one value of any shape, the way unknown fields
+    /// are skipped.
+    fn skim(line: &str) -> Result<(), WireError> {
+        decode_line(line, Cursor::skip)
+    }
+
     #[test]
     fn json_round_trips_strings_and_structure() {
-        let v = Json::Obj(vec![
-            ("a".into(), Json::Num("18446744073709551615".into())),
-            (
-                "b".into(),
-                Json::Arr(vec![
-                    Json::Null,
-                    Json::Bool(true),
-                    Json::Str("x\"\\\n".into()),
-                ]),
-            ),
-        ]);
-        let line = v.render();
+        let text = "x\"\\\n\r\t\u{1}/é✓𝄞";
+        let mut line = String::new();
+        write_escaped(text, &mut line);
         assert!(!line.contains('\n'), "framing requires single-line output");
-        assert_eq!(Json::parse(&line).unwrap(), v);
+        assert_eq!(decode_line(&line, Cursor::string).unwrap(), text);
+        // Escape-free strings are borrowed from the line, not copied.
+        let plain = decode_line("\"plain\"", Cursor::string).unwrap();
+        assert!(matches!(plain, Cow::Borrowed("plain")));
+        // Surrogate pairs and every short escape decode.
+        let escaped = decode_line(r#""\ud834\udd1e\b\f\/""#, Cursor::string).unwrap();
+        assert_eq!(escaped, "𝄞\u{8}\u{c}/");
     }
 
     #[test]
@@ -1928,11 +1917,22 @@ mod tests {
             "[,]",
             "\u{0}",
         ] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+            assert!(skim(bad).is_err(), "accepted {bad:?}");
         }
         // Deep nesting is refused, not recursed into.
         let deep = "[".repeat(100_000);
-        assert!(Json::parse(&deep).is_err());
+        assert!(skim(&deep).is_err());
+        // Typed fields take unsigned integers only, range-checked.
+        for bad in ["-1", "1.5", "2e3", "18446744073709551616", "\"7\"", "true"] {
+            assert!(
+                decode_line(bad, Cursor::uint::<u64>).is_err(),
+                "accepted {bad:?}"
+            );
+        }
+        assert_eq!(
+            decode_line(" 18446744073709551615 ", Cursor::uint),
+            Ok(u64::MAX)
+        );
     }
 
     #[test]
@@ -2025,14 +2025,10 @@ mod tests {
         };
         line.clear();
         encode_pong_into(11, &stats, &mut line);
-        let v = Json::parse(&line).unwrap();
-        assert_eq!(v.get("id").unwrap().u64_().unwrap(), 11);
-        let ok = v.get("ok").unwrap();
-        assert_eq!(ok.get("kind").unwrap().str_().unwrap(), "pong");
-        assert_eq!(
-            decode_runtime_stats(ok.get("stats").unwrap()).unwrap(),
-            stats
-        );
+        assert_eq!(decode_pong(&line).unwrap(), (11, stats));
+        // Any other reply is not a pong.
+        encode_reply_into(Some(11), &Err(ServeError::Shutdown), &mut line);
+        assert!(decode_pong(&line).is_err());
     }
 
     #[test]
@@ -2051,8 +2047,7 @@ mod tests {
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
         assert_eq!(lines.len(), 2);
         // The pong's stats snapshot predates the warm request.
-        let v = Json::parse(lines[0]).unwrap();
-        let pong_stats = decode_runtime_stats(v.get("ok").unwrap().get("stats").unwrap()).unwrap();
+        let (_, pong_stats) = decode_pong(lines[0]).unwrap();
         assert_eq!(pong_stats.submitted, 0);
         // The warm request completed and is in the shard-local ledger.
         let (id, outcome) = decode_reply(lines[1]).unwrap();

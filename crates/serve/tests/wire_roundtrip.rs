@@ -3,11 +3,13 @@
 //! even NaNs and signed zeros survive), and malformed / truncated /
 //! mutated lines come back as typed protocol errors — never panics.
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 
 use tailors_serve::wire::{
     decode_reply, decode_request_line, encode_malformed_reply_into, encode_ping_into,
-    encode_pong_into, encode_reply_into, encode_request_flagged_into, encode_request_into, Json,
+    encode_pong_into, encode_reply_into, encode_request_flagged_into, encode_request_into,
     WireRequest,
 };
 use tailors_serve::{
@@ -267,7 +269,6 @@ proptest! {
         bytes in proptest::collection::vec(0u8..=255, 0..200),
     ) {
         let text = String::from_utf8_lossy(&bytes);
-        let _ = Json::parse(&text);
         let _ = decode_request_line(&text);
         let _ = decode_reply(&text);
     }
@@ -571,4 +572,67 @@ fn reply_lines_match_the_transcript_byte_for_byte() {
             "protocol error: malformed wire message: expected ':' at offset 9".into()
         )
     );
+}
+
+/// Decoding is linear in the line length: a reply carrying a 1 MiB error
+/// message (escapes and multi-byte characters included) round-trips well
+/// inside 2 s even in an unoptimized build, where a decoder that rescans
+/// the rest of the line per character would run for minutes.
+#[test]
+fn megabyte_error_messages_round_trip_in_linear_time() {
+    let mut message = String::new();
+    while message.len() < 1 << 20 {
+        message.push_str("overbooked \"tile\" ✓ ");
+    }
+    let err = ServeError::Faulted {
+        panic: false,
+        message,
+    };
+    let start = Instant::now();
+    let line = encode_reply(Some(1), &Err(err.clone()));
+    let (id, outcome) = decode_reply(&line).expect("round trip");
+    let took = start.elapsed();
+    assert_eq!(id, Some(1));
+    assert_eq!(outcome.unwrap_err(), err);
+    assert!(
+        took < Duration::from_secs(2),
+        "1 MiB reply took {took:?} to round-trip"
+    );
+}
+
+/// Decoding does not depend on the encoder's field order: keys may
+/// come in any order, unknown keys of any shape are skipped, and the
+/// first occurrence of a repeated key wins.
+#[test]
+fn request_fields_decode_in_any_order_and_unknown_keys_are_skipped() {
+    let req = SimRequest::suite("email-Enron", 1.0 / 256.0, Variant::default_ob()).unwrap();
+    let mut canonical = String::new();
+    encode_request_into(5, &Work::Sim(req.clone()), &mut canonical);
+    // Reverse the envelope: `req` before `kind`, an unknown field
+    // of every shape, and repeated keys whose first occurrence wins.
+    let (_, payload) = canonical.split_once(r#""req":"#).unwrap();
+    let payload = payload.strip_suffix('}').unwrap();
+    let shuffled = format!(
+        r#"{{"extra":{{"deep":[1,-2.5e3,null,"s"]}},"req":{payload},"warm":false,"warm":7,"kind":"sim","id":5,"id":"x","kind":"ping"}}"#
+    );
+    let (id, decoded) = decode_request_line(&shuffled).unwrap();
+    assert_eq!(id, 5);
+    let WireRequest::Work {
+        work: Work::Sim(d),
+        warm: false,
+    } = decoded
+    else {
+        panic!("wrong kind")
+    };
+    assert_eq!(d.workload, req.workload);
+    assert_eq!(d.arch, req.arch);
+    // A ping skips whatever payload it carries.
+    let ping = format!(r#"{{"req":{payload},"kind":"ping","id":3}}"#);
+    assert!(matches!(
+        decode_request_line(&ping),
+        Ok((3, WireRequest::Ping))
+    ));
+    // A missing field is named.
+    let err = decode_request_line(r#"{"kind":"ping"}"#).unwrap_err();
+    assert_eq!(err, WireError::Malformed("missing field \"id\"".into()));
 }

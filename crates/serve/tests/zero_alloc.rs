@@ -7,6 +7,10 @@
 //! the entire hot path (cache lookups, `run_planned` replay, response
 //! construction) runs on plain data and pre-resolved `Arc`s.
 //!
+//! The wire codec has its own pin: with warm line buffers, encoding and
+//! decoding every request and reply of that batch allocates nothing
+//! either — the decoder borrows from the line instead of building a tree.
+//!
 //! The functional path cannot be literally zero-alloc (each response
 //! carries a freshly assembled result matrix the caller keeps), so its
 //! pin is relative: with the scratch pool on, a steady-state request
@@ -24,7 +28,10 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use tailors_serve::{FunctionalRequest, SimRequest, SimService};
+use tailors_serve::wire::{
+    decode_reply, decode_request_line, encode_reply_into, encode_request_into,
+};
+use tailors_serve::{FunctionalRequest, Reply, SimRequest, SimService, Work};
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 use tailors_tensor::storage::{pooling_enabled, set_pooling};
 
@@ -131,6 +138,46 @@ fn hot_served_suite_batch_allocates_nothing() {
         reqs.len()
     );
     drop(pinned);
+}
+
+/// The codec pin: with warm line buffers, a request → reply round trip
+/// through the wire codec for every hot suite request performs exactly
+/// zero heap allocations.
+#[test]
+fn hot_codec_round_trip_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let reqs = suite_requests(1.0 / 64.0);
+    let service = SimService::new();
+    let exchanges: Vec<(Work, Result<Reply, _>)> = reqs
+        .iter()
+        .map(|req| (Work::Sim(req.clone()), Ok(Reply::Sim(service.submit(req)))))
+        .collect();
+    let mut line = String::new();
+    let mut reply = String::new();
+    let mut round_trip = |id: u64, work: &Work, outcome| {
+        encode_request_into(id, work, &mut line);
+        black_box(decode_request_line(&line).expect("request decodes"));
+        encode_reply_into(Some(id), outcome, &mut reply);
+        let (_, decoded) = decode_reply(&reply).expect("reply decodes");
+        assert!(black_box(decoded).is_ok());
+    };
+    // One warm pass ratchets both buffers up to the largest line and
+    // runs the decoders' one-time lookups.
+    for (id, (work, outcome)) in (0..).zip(&exchanges) {
+        round_trip(id, work, outcome);
+    }
+
+    let before = allocs();
+    for (id, (work, outcome)) in (0..).zip(&exchanges) {
+        round_trip(id, work, outcome);
+    }
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "hot codec round trips must not touch the allocator ({} exchanges)",
+        exchanges.len()
+    );
 }
 
 /// The functional steady state: pooled scratch makes a warm request

@@ -188,9 +188,12 @@ pub fn suite() -> Vec<Workload> {
     ]
 }
 
-/// Looks up a workload by its SuiteSparse name.
+/// Looks up a workload by its SuiteSparse name, in a suite table built
+/// once per process: a lookup never allocates.
 pub fn by_name(name: &str) -> Option<Workload> {
-    suite().into_iter().find(|w| w.name == name)
+    static SUITE: std::sync::OnceLock<Vec<Workload>> = std::sync::OnceLock::new();
+    let suite = SUITE.get_or_init(suite);
+    suite.iter().find(|w| w.name == name).cloned()
 }
 
 /// The scale factor used by this workspace's tests and quick examples
