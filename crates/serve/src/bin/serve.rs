@@ -59,18 +59,22 @@
 //!   (`completed + rejected + timed_out + faulted == submitted`)
 //!   proven intact across all four.
 //!
-//! `--replicas R` switches the router modes to R-way replicated
-//! placement ([`Placement::Replicated`]): each key's first R live ring
-//! candidates are designated owners, so a kill costs a zero-backoff hop
-//! to an already-warm replica instead of a discovery timeout (the smoke
-//! asserts `timed_out == 0` across the kill leg under `--replicas 2`).
+//! `--replicas R` sets [`RouterConfig::replicas`] for the router modes
+//! (default 1, primary-only placement). Under R > 1 each key's first R
+//! live ring candidates are designated owners, so a kill costs a
+//! zero-backoff hop to an already-warm replica instead of a discovery
+//! timeout (the smoke asserts `timed_out == 0` across the kill leg under
+//! `--replicas 2`).
 //! `--probe-ms MS` arms the background health prober at that cadence;
 //! without it the smoke exercises the synchronous
 //! [`ShardRouter::probe_now`] path instead.
 //!
-//! The batch is the full 22-workload suite × the three variants at
-//! `scale` (default 1.0), submitted through
-//! [`SimService::submit_batch`]'s cost-balanced LPT scheduler. With
+//! Every mode drives the same batch: the full 22-workload suite × the
+//! three variants (ExTensor-N, ExTensor-P, default overbooked Tailors)
+//! at `scale` (default 1.0). The sweep driver applies the
+//! `--mem-budget`, `--grid` and `--auto-plan` knobs to it and submits it
+//! through [`SimService::submit_batch`]'s cost-balanced LPT scheduler;
+//! the wire and router modes send it with the suite defaults. With
 //! auto-planning on, execution plans come from the budget-aware auto
 //! planner (cached per request key like any other plan) and `--verify`
 //! diffs against a cold `Variant::auto_execution_plan` +
@@ -89,8 +93,8 @@ use std::time::Instant;
 
 use tailors_serve::wire::{serve_lines, WireClient, WireTcpServer};
 use tailors_serve::{
-    FaultPlan, FunctionalRequest, Placement, Reply, RouterConfig, RuntimeConfig, ServeConfig,
-    ServeError, ServiceRuntime, ShardRouter, SimRequest, SimService, Work,
+    FaultPlan, FunctionalRequest, Reply, RouterConfig, RuntimeConfig, ServeConfig, ServeError,
+    ServiceRuntime, ShardRouter, SimRequest, SimService, Work,
 };
 use tailors_sim::functional::reference_run;
 use tailors_sim::{ArchConfig, GridMode, Knobs, MemBudget, Variant};
@@ -180,11 +184,7 @@ fn main() {
     }
     assert!(replicas > 0, "--replicas must be positive");
     let router_config = RouterConfig {
-        placement: if replicas > 1 {
-            Placement::Replicated(replicas)
-        } else {
-            Placement::Primary
-        },
+        replicas,
         probe_interval: probe_ms.map(std::time::Duration::from_millis),
         ..RouterConfig::default()
     };
@@ -213,32 +213,23 @@ fn main() {
         return;
     }
 
-    let variants = [
-        Variant::ExTensorN,
-        Variant::ExTensorP,
-        Variant::default_ob(),
-    ];
-    let arch = ArchConfig::extensor().scaled(scale);
-    let batch: Vec<SimRequest> = tailors_workloads::suite()
-        .iter()
-        .flat_map(|wl| {
-            variants.map(|variant| SimRequest {
-                workload: wl.scaled(scale),
-                variant,
-                arch,
-                budget,
-                grid,
-                auto_plan,
-            })
+    let batch: Vec<SimRequest> = suite_batch(scale)
+        .into_iter()
+        .map(|req| SimRequest {
+            budget,
+            grid,
+            auto_plan,
+            ..req
         })
         .collect();
+    let per_workload = variants().len();
     println!(
         "serve: {} requests/sweep ({} workloads x {} variants) at scale {scale}, \
          {threads} threads, budget {budget}, grid {grid}, auto-plan {auto_plan}, \
          simd {}, cost model {}",
         batch.len(),
-        batch.len() / variants.len(),
-        variants.len(),
+        batch.len() / per_workload,
+        per_workload,
         tailors_tensor::simd::active_level(),
         if cost_model.is_uniform() {
             "uniform".to_string()
@@ -308,8 +299,8 @@ fn main() {
         // the O(nnz) profiling pass runs once per workload, not per
         // request.
         for (reqs, resps) in batch
-            .chunks(variants.len())
-            .zip(responses.chunks(variants.len()))
+            .chunks(per_workload)
+            .zip(responses.chunks(per_workload))
         {
             let profile = tailors_workloads::generate_cached(&reqs[0].workload).profile();
             for (req, resp) in reqs.iter().zip(resps) {
@@ -350,6 +341,31 @@ fn main() {
     println!("OK");
 }
 
+/// The variants every batch sweeps: the two ExTensor baselines and the
+/// default overbooked Tailors configuration. A function, not a const,
+/// because [`Variant::default_ob`] is the one source of that default.
+fn variants() -> [Variant; 3] {
+    [
+        Variant::ExTensorN,
+        Variant::ExTensorP,
+        Variant::default_ob(),
+    ]
+}
+
+/// The suite batch every mode drives: 22 workloads × [`variants`], in
+/// suite order, each request with the suite defaults of
+/// [`SimRequest::suite`] (unbounded budget, panel grid, fixed plans).
+fn suite_batch(scale: f64) -> Vec<SimRequest> {
+    tailors_workloads::suite()
+        .iter()
+        .flat_map(|wl| {
+            variants()
+                .into_iter()
+                .filter_map(|v| SimRequest::suite(wl.name, scale, v))
+        })
+        .collect()
+}
+
 /// The CI serving smoke: a batch of mixed variants executed *functionally*
 /// at 50 000 columns through the service, each result diffed against the
 /// seed engine under the identical derived configuration.
@@ -383,11 +399,7 @@ fn functional_smoke(knobs: &Knobs) {
         ..ServeConfig::default()
     });
     let a = tailors_workloads::generate_cached(&workload);
-    for variant in [
-        Variant::ExTensorN,
-        Variant::ExTensorP,
-        Variant::default_ob(),
-    ] {
+    for variant in variants() {
         let req = FunctionalRequest {
             workload: workload.clone(),
             variant,
@@ -500,19 +512,7 @@ fn run_wire_smoke(scale: f64, threads: usize) {
         WireTcpServer::spawn(Arc::clone(&runtime), "127.0.0.1:0").expect("bind wire server");
     let addr = server.addr();
 
-    let variants = [
-        Variant::ExTensorN,
-        Variant::ExTensorP,
-        Variant::default_ob(),
-    ];
-    let batch: Vec<SimRequest> = tailors_workloads::suite()
-        .iter()
-        .flat_map(|wl| {
-            variants
-                .iter()
-                .filter_map(|&v| SimRequest::suite(wl.name, scale, v))
-        })
-        .collect();
+    let batch = suite_batch(scale);
     println!(
         "wire smoke: {} analytical requests at scale {scale} against {addr}",
         batch.len()
@@ -720,24 +720,6 @@ fn spawn_shard_fleet(n: usize, threads: usize) -> Vec<ChildShard> {
         .collect()
 }
 
-/// The suite batch every router mode drives: 22 workloads × 3 variants,
-/// in suite order (the same stream `--wire-smoke` uses).
-fn router_batch(scale: f64) -> Vec<SimRequest> {
-    let variants = [
-        Variant::ExTensorN,
-        Variant::ExTensorP,
-        Variant::default_ob(),
-    ];
-    tailors_workloads::suite()
-        .iter()
-        .flat_map(|wl| {
-            variants
-                .iter()
-                .filter_map(|&v| SimRequest::suite(wl.name, scale, v))
-        })
-        .collect()
-}
-
 /// `--router N` / `--shards ...`: suite sweeps through the ring, hot
 /// sweeps proven bit-identical to the first, fleet ledger proven
 /// balanced.
@@ -748,7 +730,7 @@ fn run_router_sweeps(
     sweeps: usize,
     config: RouterConfig,
 ) {
-    let batch = router_batch(scale);
+    let batch = suite_batch(scale);
     let works: Vec<Work> = batch.iter().cloned().map(Work::Sim).collect();
     println!(
         "router: {} requests/sweep over {} shards at scale {scale}, {threads} threads",
@@ -838,13 +820,13 @@ fn report_router(router: &ShardRouter) {
 /// additionally proves `timed_out == 0`: a replica absorbs the victim's
 /// keys with zero discovery cost.
 fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
-    let batch = router_batch(scale);
+    let batch = suite_batch(scale);
     let works: Vec<Work> = batch.iter().cloned().map(Work::Sim).collect();
-    let replicated = matches!(config.placement, Placement::Replicated(r) if r > 1);
+    let replicated = config.replicas > 1;
     println!(
-        "router smoke: {} requests over 3 shards at scale {scale} (placement {:?}, probe {:?})",
+        "router smoke: {} requests over 3 shards at scale {scale} (replicas {}, probe {:?})",
         works.len(),
-        config.placement,
+        config.replicas,
         config.probe_interval,
     );
     let baseline_service = SimService::new();

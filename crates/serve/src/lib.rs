@@ -94,8 +94,7 @@ pub use service::{
     SimRequest, SimResponse, SimService,
 };
 pub use shard::{
-    HashRing, MembershipError, Placement, PoolError, RouterConfig, RouterStats, ShardRouter,
-    ShardStats,
+    HashRing, MembershipError, PoolError, RouterConfig, RouterStats, ShardRouter, ShardStats,
 };
 pub use wire::{
     WireClient, WireError, WireRequest, WireServeReport, WireStopReport, WireTcpServer,

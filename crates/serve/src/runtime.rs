@@ -8,7 +8,7 @@
 //! ```text
 //! submit ── validate ──► BadRequest (typed reject)
 //!    │
-//!    ├── admission ────► Overloaded{TensorBytes | PlanPressure}
+//!    ├── admission ────► Overloaded{TensorBytes}   (functional only)
 //!    │
 //!    ├── try_push ─────► Overloaded{MailboxFull}   (backpressure,
 //!    │                   value handed back — retry with capped
@@ -99,14 +99,6 @@ impl Reply {
             Reply::Functional(_) => None,
         }
     }
-
-    /// The functional response, if this reply is one.
-    pub fn into_functional(self) -> Option<FunctionalResponse> {
-        match self {
-            Reply::Functional(r) => Some(*r),
-            Reply::Sim(_) => None,
-        }
-    }
 }
 
 /// Why admission control refused a request.
@@ -126,15 +118,6 @@ pub enum OverloadReason {
         estimated: u64,
         /// The configured admission limit.
         limit: u64,
-    },
-    /// The plan tier is thrashing (resident/capacity at the configured
-    /// threshold while the hit rate is below its floor); analytical
-    /// requests are shed until the tier stabilizes. Retryable.
-    PlanPressure {
-        /// Plan-tier occupancy in `[0, 1]` at rejection time.
-        pressure: f64,
-        /// Plan-tier hit rate in `[0, 1]` at rejection time.
-        hit_rate: f64,
     },
 }
 
@@ -171,9 +154,7 @@ impl ServeError {
     pub fn retryable(&self) -> bool {
         matches!(
             self,
-            ServeError::Overloaded(
-                OverloadReason::MailboxFull { .. } | OverloadReason::PlanPressure { .. }
-            )
+            ServeError::Overloaded(OverloadReason::MailboxFull { .. })
         )
     }
 }
@@ -188,12 +169,6 @@ impl core::fmt::Display for ServeError {
                 write!(
                     f,
                     "overloaded: estimated tensor footprint {estimated} B exceeds limit {limit} B"
-                )
-            }
-            ServeError::Overloaded(OverloadReason::PlanPressure { pressure, hit_rate }) => {
-                write!(
-                    f,
-                    "overloaded: plan-cache pressure {pressure:.2} with hit rate {hit_rate:.2}"
                 )
             }
             ServeError::Timeout { deadline } => {
@@ -405,16 +380,6 @@ pub struct RuntimeConfig {
     /// Admission limit on a functional request's estimated resident
     /// tensor bytes (tensor + transpose + index structure).
     pub max_tensor_bytes: u64,
-    /// Plan-tier occupancy (resident/capacity) at or above which
-    /// analytical requests are pressure-checked.
-    pub plan_pressure_threshold: f64,
-    /// Plan-tier hit rate *below* which a pressure-checked analytical
-    /// request is shed. The default of `0.0` disables pressure shedding
-    /// (a hit rate is never negative).
-    pub plan_hit_rate_floor: f64,
-    /// Deadline applied to [`ServiceRuntime::submit`] when the caller
-    /// does not pass one.
-    pub default_deadline: Option<Duration>,
     /// Injected faults (see [`FaultPlan`]).
     pub faults: FaultPlan,
 }
@@ -428,9 +393,6 @@ impl Default for RuntimeConfig {
             // requests (a paper-scale webbase-1M functional run estimates
             // ~0.2 GiB), not a memory governor.
             max_tensor_bytes: 8 << 30,
-            plan_pressure_threshold: 1.0,
-            plan_hit_rate_floor: 0.0,
-            default_deadline: None,
             faults: FaultPlan::none(),
         }
     }
@@ -509,8 +471,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Backoff cap.
     pub max_backoff: Duration,
-    /// Per-attempt deadline handed to the runtime.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -519,7 +479,6 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(50),
-            deadline: None,
         }
     }
 }
@@ -677,15 +636,14 @@ impl ServiceRuntime {
             .fold(PoolStats::default(), |acc, s| acc.merge(*s))
     }
 
-    /// Submits one request and blocks for its outcome, applying the
-    /// configured default deadline.
+    /// Submits one request and blocks for its outcome, with no deadline.
     ///
     /// # Errors
     ///
     /// Every failure is a typed [`ServeError`]; see the module docs for
     /// the lifecycle.
     pub fn submit(&self, work: Work) -> Result<Reply, ServeError> {
-        self.submit_with_deadline(work, self.config.default_deadline)
+        self.submit_with_deadline(work, None)
     }
 
     /// [`ServiceRuntime::submit`] with an explicit per-request deadline
@@ -713,7 +671,7 @@ impl ServiceRuntime {
     ///
     /// As [`ServiceRuntime::submit`].
     pub fn submit_warm(&self, work: Work) -> Result<Reply, ServeError> {
-        self.submit_accounted(work, self.config.default_deadline, Some(Priority::Low))
+        self.submit_accounted(work, None, Some(Priority::Low))
     }
 
     /// Whether the `drop_conn` fault fires for the wire session's next
@@ -762,7 +720,7 @@ impl ServiceRuntime {
     pub fn submit_with_retry(&self, work: Work, policy: &RetryPolicy) -> Result<Reply, ServeError> {
         let mut retry = 0u32;
         loop {
-            let outcome = self.submit_with_deadline(work.clone(), policy.deadline);
+            let outcome = self.submit(work.clone());
             match &outcome {
                 Err(e) if e.retryable() && retry + 1 < policy.max_attempts.max(1) => {
                     self.counters.retries.fetch_add(1, Ordering::SeqCst);
@@ -817,31 +775,18 @@ impl ServiceRuntime {
         }
     }
 
-    /// Structural validation before queueing: requests the engines would
-    /// panic on are refused as [`ServeError::BadRequest`] instead.
+    /// Admission control: a functional request whose estimated tensor
+    /// footprint exceeds [`RuntimeConfig::max_tensor_bytes`] is refused
+    /// before queueing. Analytical requests are always admitted; the
+    /// bounded mailbox is their only backpressure.
     fn admit(&self, work: &Work) -> Result<(), ServeError> {
-        match work {
-            Work::Functional(req) => {
-                let estimated = estimated_tensor_bytes(&req.workload);
-                if estimated > self.config.max_tensor_bytes {
-                    return Err(ServeError::Overloaded(OverloadReason::TensorBytes {
-                        estimated,
-                        limit: self.config.max_tensor_bytes,
-                    }));
-                }
-            }
-            Work::Sim(_) => {
-                let stats = self.service.stats();
-                let pressure = stats.plan_pressure();
-                let hit_rate = stats.plan_hit_rate();
-                if pressure >= self.config.plan_pressure_threshold
-                    && hit_rate < self.config.plan_hit_rate_floor
-                {
-                    return Err(ServeError::Overloaded(OverloadReason::PlanPressure {
-                        pressure,
-                        hit_rate,
-                    }));
-                }
+        if let Work::Functional(req) = work {
+            let estimated = estimated_tensor_bytes(&req.workload);
+            if estimated > self.config.max_tensor_bytes {
+                return Err(ServeError::Overloaded(OverloadReason::TensorBytes {
+                    estimated,
+                    limit: self.config.max_tensor_bytes,
+                }));
             }
         }
         Ok(())
@@ -1287,6 +1232,42 @@ mod tests {
         let after_sim = runtime.scratch_pool_stats();
         assert_eq!(after_sim.checkouts, after_one.checkouts);
         runtime.shutdown();
+    }
+
+    #[test]
+    fn a_thrashing_plan_tier_never_sheds_analytical_requests() {
+        // One plan slot, two keys served alternately: every lookup misses
+        // and evicts, so the tier stays full at a 0 % hit rate. A full,
+        // thrashing plan tier costs planning time, never an admission.
+        let service = Arc::new(SimService::with_config(crate::service::ServeConfig {
+            plan_capacity: 1,
+            ..crate::service::ServeConfig::default()
+        }));
+        let runtime = ServiceRuntime::over(
+            Arc::clone(&service),
+            RuntimeConfig {
+                workers: 1,
+                ..RuntimeConfig::default()
+            },
+        );
+        let rounds = 6;
+        for i in 0..rounds {
+            let name = if i % 2 == 0 {
+                "email-Enron"
+            } else {
+                "p2p-Gnutella31"
+            };
+            let reply = runtime.submit(sim_work(name)).expect("admitted and served");
+            assert!(matches!(reply, Reply::Sim(_)));
+        }
+        let plans = service.stats();
+        assert_eq!(plans.plan_hits, 0, "{plans:?}");
+        assert_eq!(plans.plan_misses, rounds);
+        assert_eq!(plans.plan_resident, plans.plan_capacity);
+        let stats = runtime.stats();
+        assert_eq!(stats.rejected, 0, "{stats:?}");
+        assert_eq!(stats.completed, rounds);
+        assert_eq!(stats.accounted(), stats.submitted);
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //! [`ShardRouter`] here is the thin layer in front of a fleet of shard
 //! processes:
 //!
-//! * **Placement** — every request's workload spec resolves to its
+//! * **Key ownership** — every request's workload spec resolves to its
 //!   [`MatrixId`] (content hash + shape; memoized per spec exactly as
 //!   [`SimService`](crate::SimService) memoizes it), and a
-//!   consistent-hash [`HashRing`] maps that identity to a *primary*
-//!   shard. Each shard therefore sees a stable slice of the corpus and
-//!   its cache tiers (and PR 8 TSPILL corpus) stay hot for that slice;
-//!   adding or removing a shard moves only ~K/N keys instead of
-//!   reshuffling everything. [`Placement::Replicated`]`(r)` widens the
-//!   owner set to the first R live candidates with read-one semantics:
-//!   the primary answers, and a dead primary costs a zero-backoff hop to
-//!   an already-designated replica instead of a discovery timeout.
+//!   consistent-hash [`HashRing`] (64 vnodes per shard) maps that
+//!   identity to a *primary* shard. Each shard therefore sees a stable
+//!   slice of the corpus and its cache tiers (and TSPILL corpus) stay
+//!   hot for that slice; adding or removing a shard moves only ~K/N keys
+//!   instead of reshuffling everything. [`RouterConfig::replicas`]` = R`
+//!   widens the owner set to the first R live candidates with read-one
+//!   semantics: the primary answers, and a dead primary costs a
+//!   zero-backoff hop to an already-designated replica instead of a
+//!   discovery timeout.
 //! * **Balance** — [`ShardRouter::submit_batch`] groups a batch by
 //!   primary shard, then splits each shard's group across that shard's
 //!   connection pool in cost-balanced LPT bins using the *same* cost
@@ -28,7 +29,8 @@
 //!   by index.
 //! * **Failover** — shards fail in typed ways. A transport failure
 //!   (connection refused/reset after the wire client's own
-//!   reconnect-and-retry is exhausted) or a [`ServeError::Shutdown`]
+//!   reconnect-and-retry under [`RetryPolicy::default`] is exhausted, or
+//!   an empty pool whose two redials both fail) or a [`ServeError::Shutdown`]
 //!   reply marks the shard **down** and the request moves clockwise to
 //!   the next live shard on the ring. An exhausted *retryable* overload
 //!   ([`ServeError::retryable`]) spills to the next shard too, but does
@@ -52,7 +54,8 @@
 //!   index forever (a tombstone), so surviving members' vnode positions
 //!   — and therefore every unaffected key's owner — never change.
 //! * **Warm-up replay** — the router keeps a bounded LRU log of
-//!   recently served request specs per routing key. On join and on
+//!   recently served request specs: up to 4 distinct specs for each of
+//!   the 128 most recently served routing keys. On join and on
 //!   probe recovery it replays the keys the (re)admitted shard now owns
 //!   against it on the server's **low-priority lane** (`"warm":true`
 //!   envelopes), so the shard's tensor/profile/plan tiers are hot before
@@ -255,22 +258,20 @@ impl HashRing {
     }
 }
 
-/// Where a key's requests may land.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Each key is owned by its single primary; failover discovers a
-    /// survivor clockwise when the primary dies (one transport-error
-    /// discovery cost per down primary).
-    Primary,
-    /// Each key is owned by the first R live candidates on the ring with
-    /// read-one semantics: the primary answers, and while cheaper
-    /// replicas remain the router fails over after a **single**
-    /// zero-backoff attempt — a kill costs no reconnect-retry ladder and
-    /// no discovery timeout, because the fallback owner is already
-    /// designated (and kept warm by membership replay). `Replicated(0)`
-    /// and `Replicated(1)` behave like `Primary`.
-    Replicated(usize),
-}
+/// Virtual nodes per shard on the router's [`HashRing`].
+const VNODES: usize = 64;
+
+/// Dial attempts a pool checkout may spend when the pool is empty before
+/// giving up with a typed [`PoolError`] — the cap that keeps an empty
+/// pool on a dead shard from redialing unboundedly.
+const REDIALS: u32 = 2;
+
+/// Routing keys the warm-up log remembers (LRU-bounded).
+const WARMUP_KEYS: usize = 128;
+
+/// Distinct request specs remembered per routing key (oldest forgotten
+/// first).
+const WARMUP_SPECS_PER_KEY: usize = 4;
 
 /// Sizing knobs for a [`ShardRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,44 +280,28 @@ pub struct RouterConfig {
     /// shard's sub-batch across its connections in LPT bins; the pool
     /// grows past this high-water mark only if checkout finds it empty.
     pub connections: usize,
-    /// Virtual nodes per shard on the [`HashRing`].
-    pub vnodes: usize,
-    /// Per-call retry policy handed to
-    /// [`WireClient::call_with_retry`] — governs in-place reconnects and
-    /// retryable-overload backoff *within* one shard, before the router
-    /// considers moving the request.
-    pub retry: RetryPolicy,
-    /// How requests map to owners (see [`Placement`]).
-    pub placement: Placement,
+    /// Owners per key: the first R live candidates on the ring, with
+    /// read-one semantics. The primary answers; while cheaper replicas
+    /// remain, the router fails over after a **single** zero-backoff
+    /// attempt — a kill costs no reconnect-retry ladder and no discovery
+    /// timeout, because the fallback owner is already designated (and
+    /// kept warm by membership replay). `1` (the default) is
+    /// primary-only placement, where failover discovers a survivor
+    /// clockwise; `0` behaves like `1`.
+    pub replicas: usize,
     /// Health-probe cadence for down-marked shards. `None` (the default)
     /// disables the background prober — down marks stay sticky unless
-    /// [`ShardRouter::probe_now`] is called, exactly PR 9's semantics.
-    /// Deployments that want self-healing arm it explicitly (the serve
-    /// bin's `--probe-ms`).
+    /// [`ShardRouter::probe_now`] is called. Deployments that want
+    /// self-healing arm it explicitly (the serve bin's `--probe-ms`).
     pub probe_interval: Option<Duration>,
-    /// Dial attempts a pool checkout may spend when the pool is empty
-    /// before giving up with a typed [`PoolError`] — the cap that keeps
-    /// an empty pool on a dead shard from redialing unboundedly.
-    pub redials: u32,
-    /// Routing keys the warm-up log remembers (LRU-bounded). Zero
-    /// disables warm-up replay.
-    pub warmup_keys: usize,
-    /// Distinct request specs remembered per routing key (oldest
-    /// forgotten first). Zero disables warm-up replay.
-    pub warmup_specs_per_key: usize,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             connections: 2,
-            vnodes: 64,
-            retry: RetryPolicy::default(),
-            placement: Placement::Primary,
+            replicas: 1,
             probe_interval: None,
-            redials: 2,
-            warmup_keys: 128,
-            warmup_specs_per_key: 4,
         }
     }
 }
@@ -596,13 +581,13 @@ impl ShardRouter {
             let addr = pool[0].addr();
             shards.push(Shard::fresh(addr, pool));
         }
-        let ring = HashRing::new(shards.len(), config.vnodes.max(1));
+        let ring = HashRing::new(shards.len(), VNODES);
         let inner = Arc::new(RouterInner {
             fleet: PoisonFreeRwLock::new(Fleet { shards, ring }),
             config,
             counters: RouterCounters::default(),
             ids: PoisonFreeMutex::new(HashMap::new()),
-            warmup: PoisonFreeMutex::new(Lru::new(config.warmup_keys.max(1))),
+            warmup: PoisonFreeMutex::new(Lru::new(WARMUP_KEYS)),
             stop: AtomicBool::new(false),
             probe_mx: PoisonFreeMutex::new(()),
             probe_cv: PoisonFreeCondvar::new(),
@@ -621,18 +606,6 @@ impl ShardRouter {
     /// with (the live membership view at call time).
     pub fn ring(&self) -> HashRing {
         self.inner.fleet.read().ring.clone()
-    }
-
-    /// Every slot's shard address, in member-id order (departed slots
-    /// included — the slot list only grows).
-    pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.inner
-            .fleet
-            .read()
-            .shards
-            .iter()
-            .map(|s| s.addr)
-            .collect()
     }
 
     /// The primary member for `work`'s matrix identity (ignoring down
@@ -745,23 +718,17 @@ impl ShardRouter {
         }
         let addr = pool[0].addr();
         let shard = Shard::fresh(addr, pool);
-        let vnodes = self.inner.config.vnodes.max(1);
-        let r = self.inner.replica_count();
         let (member, replay) = {
             let mut fleet = self.inner.fleet.write();
             let member = fleet.shards.len();
             fleet.shards.push(Arc::clone(&shard));
-            let live: Vec<usize> = live_members(&fleet.shards);
-            fleet.ring = HashRing::over(&live, vnodes);
-            // Collect the logged keys whose replica set now includes the
-            // joiner — exactly the keys that moved to it.
-            let log = self.inner.warmup.lock();
-            let replay: Vec<Work> = log
-                .iter()
-                .filter(|(id, _)| fleet.ring.replicas(id, r).contains(&member))
-                .flat_map(|(_, specs)| specs.iter().map(|(_, w)| w.clone()))
-                .collect();
-            (member, replay)
+            fleet.ring = HashRing::over(&live_members(&fleet.shards), VNODES);
+            // The logged keys whose replica set now includes the joiner
+            // are exactly the keys that moved to it.
+            (
+                member,
+                self.inner.logged_works_owned_by(&fleet.ring, member),
+            )
         };
         self.inner.replay_to(&shard, &replay);
         Ok(member)
@@ -780,7 +747,6 @@ impl ShardRouter {
     /// [`MembershipError`] when the member is unknown, already departed,
     /// or the last live shard.
     pub fn leave(&self, member: usize) -> Result<(), MembershipError> {
-        let vnodes = self.inner.config.vnodes.max(1);
         let r = self.inner.replica_count();
         let replay: Vec<(Arc<Shard>, Vec<Work>)> = {
             let mut fleet = self.inner.fleet.write();
@@ -795,32 +761,25 @@ impl ShardRouter {
             }
             // The leaver's logged keys and their *old* owner sets, read
             // against the old ring before the rebuild.
-            let log = self.inner.warmup.lock();
-            let affected: Vec<(Vec<usize>, Vec<Work>)> = log
+            let affected: Vec<(MatrixId, Vec<usize>, Vec<Work>)> = self
+                .inner
+                .warmup
+                .lock()
                 .iter()
                 .filter_map(|(id, specs)| {
                     let owners = fleet.ring.replicas(id, r);
-                    owners.contains(&member).then(|| {
-                        let works: Vec<Work> = specs.iter().map(|(_, w)| w.clone()).collect();
-                        (owners, works, *id)
-                    })
+                    owners
+                        .contains(&member)
+                        .then(|| (*id, owners, logged_works(specs)))
                 })
-                .map(|(owners, works, _id)| (owners, works))
                 .collect();
-            let ids_affected: Vec<MatrixId> = log
-                .iter()
-                .filter(|(id, _)| fleet.ring.replicas(id, r).contains(&member))
-                .map(|(id, _)| *id)
-                .collect();
-            drop(log);
             fleet.shards[member].departed.store(true, Ordering::SeqCst);
             fleet.shards[member].pool.lock().clear();
-            let live: Vec<usize> = live_members(&fleet.shards);
-            fleet.ring = HashRing::over(&live, vnodes);
+            fleet.ring = HashRing::over(&live_members(&fleet.shards), VNODES);
             // Each affected key's new owners that weren't old owners get
             // the key's logged specs replayed.
             let mut per_member: HashMap<usize, Vec<Work>> = HashMap::new();
-            for (id, (old_owners, works)) in ids_affected.iter().zip(affected) {
+            for (id, old_owners, works) in &affected {
                 for new_owner in fleet.ring.replicas(id, r) {
                     if !old_owners.contains(&new_owner) {
                         per_member
@@ -953,10 +912,21 @@ fn prober_loop(inner: &RouterInner, interval: Duration) {
 
 impl RouterInner {
     fn replica_count(&self) -> usize {
-        match self.config.placement {
-            Placement::Primary => 1,
-            Placement::Replicated(r) => r.max(1),
-        }
+        self.config.replicas.max(1)
+    }
+
+    /// Every logged spec whose key's replica set on `ring` contains
+    /// `member` — what a (re)admitted member must be warmed with. The
+    /// caller holds the fleet lock that guards `ring` (lock order: fleet
+    /// before warm-up log).
+    fn logged_works_owned_by(&self, ring: &HashRing, member: usize) -> Vec<Work> {
+        let r = self.replica_count();
+        self.warmup
+            .lock()
+            .iter()
+            .filter(|(id, _)| ring.replicas(id, r).contains(&member))
+            .flat_map(|(_, specs)| logged_works(specs))
+            .collect()
     }
 
     /// Walks the failover order for `work`: primary first, then clockwise
@@ -971,6 +941,7 @@ impl RouterInner {
         let mut last_refusal: Option<ServeError> = None;
         let mut live_tried = 0usize;
         let mut outcome_reply: Option<Reply> = None;
+        let retry = RetryPolicy::default();
         for member in fleet.ring.candidates(&id) {
             let shard = &fleet.shards[member];
             if shard.down.load(Ordering::SeqCst) {
@@ -986,12 +957,12 @@ impl RouterInner {
             let policy = if fail_fast {
                 RetryPolicy {
                     max_attempts: 1,
-                    ..self.config.retry
+                    ..retry
                 }
             } else {
-                self.config.retry
+                retry
             };
-            match self.call_shard(member, shard, work, &policy) {
+            match self.call_shard(shard, work, &policy) {
                 ShardOutcome::Reply(reply) => {
                     outcome_reply = Some(*reply);
                     break;
@@ -1036,16 +1007,9 @@ impl RouterInner {
     /// A client that saw a transport or protocol failure is dropped, not
     /// returned — its stream state is unknown and the pool re-dials on
     /// demand (capped; see [`Shard::checkout`]).
-    fn call_shard(
-        &self,
-        member: usize,
-        shard: &Shard,
-        work: &Work,
-        policy: &RetryPolicy,
-    ) -> ShardOutcome {
-        let _ = member;
+    fn call_shard(&self, shard: &Shard, work: &Work, policy: &RetryPolicy) -> ShardOutcome {
         shard.counters.calls.fetch_add(1, Ordering::SeqCst);
-        let mut client = match shard.checkout(self.config.redials) {
+        let mut client = match shard.checkout(REDIALS) {
             Ok(c) => c,
             Err(e) => {
                 shard
@@ -1098,17 +1062,13 @@ impl RouterInner {
     /// deduplicated by semantic fingerprint and bounded both per key and
     /// across keys.
     fn record_warm(&self, id: &MatrixId, work: &Work) {
-        let cap = self.config.warmup_specs_per_key;
-        if self.config.warmup_keys == 0 || cap == 0 {
-            return;
-        }
         let fp = work_fingerprint(work);
         let mut log = self.warmup.lock();
         if let Some(specs) = log.get_mut(id) {
             if specs.iter().any(|(f, _)| *f == fp) {
                 return;
             }
-            if specs.len() >= cap {
+            if specs.len() >= WARMUP_SPECS_PER_KEY {
                 specs.remove(0);
             }
             specs.push((fp, work.clone()));
@@ -1155,15 +1115,7 @@ impl RouterInner {
                 // via an earlier probe; re-check under the probing flag.
                 if shard.down.load(Ordering::SeqCst) {
                     shard.pool.lock().push(client);
-                    let replay: Vec<Work> = {
-                        let fleet = self.fleet.read();
-                        let r = self.replica_count();
-                        let log = self.warmup.lock();
-                        log.iter()
-                            .filter(|(id, _)| fleet.ring.replicas(id, r).contains(&member))
-                            .flat_map(|(_, specs)| specs.iter().map(|(_, w)| w.clone()))
-                            .collect()
-                    };
+                    let replay = self.logged_works_owned_by(&self.fleet.read().ring, member);
                     self.replay_to(&shard, &replay);
                     shard.down.store(false, Ordering::SeqCst);
                     self.counters.recoveries.fetch_add(1, Ordering::SeqCst);
@@ -1184,7 +1136,7 @@ impl RouterInner {
         if works.is_empty() || shard.departed.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(mut client) = shard.checkout(self.config.redials) else {
+        let Ok(mut client) = shard.checkout(REDIALS) else {
             return;
         };
         for work in works {
@@ -1212,6 +1164,12 @@ impl RouterInner {
         self.ids.lock().insert(spec, id);
         id
     }
+}
+
+/// The request specs of one warm-up log entry, without their
+/// fingerprints.
+fn logged_works(specs: &[(u64, Work)]) -> Vec<Work> {
+    specs.iter().map(|(_, w)| w.clone()).collect()
 }
 
 /// A semantic fingerprint of a request for warm-log deduplication: two

@@ -950,11 +950,6 @@ fn encode_serve_error(o: &mut Obj<'_>, e: &ServeError) {
             .str("reason", "tensor-bytes")
             .num("estimated", estimated)
             .num("limit", limit),
-        ServeError::Overloaded(OverloadReason::PlanPressure { pressure, hit_rate }) => o
-            .str("code", "overloaded")
-            .str("reason", "plan-pressure")
-            .bits("pressure", *pressure)
-            .bits("hit_rate", *hit_rate),
         ServeError::Timeout { deadline } => o
             .str("code", "timeout")
             .num("deadline_secs", deadline.as_secs())
@@ -972,8 +967,8 @@ fn encode_serve_error(o: &mut Obj<'_>, e: &ServeError) {
 /// code then picks the ones it needs.
 fn decode_serve_error(c: &mut Cursor<'_>) -> Result<ServeError, WireError> {
     let (mut code, mut reason, mut message, mut panic) = (None, None, None, None);
-    let (mut capacity, mut estimated, mut limit) = (None, None, None);
-    let (mut pressure, mut hit_rate, mut secs, mut nanos) = (None, None, None, None);
+    let (mut capacity, mut estimated, mut limit, mut secs, mut nanos) =
+        (None, None, None, None, None);
     c.object(|c, key| match key {
         "code" => c.slot(&mut code, Cursor::string),
         "reason" => c.slot(&mut reason, Cursor::string),
@@ -982,8 +977,6 @@ fn decode_serve_error(c: &mut Cursor<'_>) -> Result<ServeError, WireError> {
         "capacity" => c.slot(&mut capacity, Cursor::uint),
         "estimated" => c.slot(&mut estimated, Cursor::uint),
         "limit" => c.slot(&mut limit, Cursor::uint),
-        "pressure" => c.slot(&mut pressure, Cursor::f64_bits),
-        "hit_rate" => c.slot(&mut hit_rate, Cursor::f64_bits),
         "deadline_secs" => c.slot(&mut secs, Cursor::uint),
         "deadline_nanos" => c.slot(&mut nanos, Cursor::uint),
         _ => Ok(false),
@@ -997,10 +990,6 @@ fn decode_serve_error(c: &mut Cursor<'_>) -> Result<ServeError, WireError> {
                 "tensor-bytes" => OverloadReason::TensorBytes {
                     estimated: required(estimated, "estimated")?,
                     limit: required(limit, "limit")?,
-                },
-                "plan-pressure" => OverloadReason::PlanPressure {
-                    pressure: required(pressure, "pressure")?,
-                    hit_rate: required(hit_rate, "hit_rate")?,
                 },
                 other => return Err(malformed(format!("unknown overload reason {other:?}"))),
             },
@@ -1965,10 +1954,6 @@ mod tests {
             ServeError::Overloaded(OverloadReason::TensorBytes {
                 estimated: 10,
                 limit: 5,
-            }),
-            ServeError::Overloaded(OverloadReason::PlanPressure {
-                pressure: 1.0,
-                hit_rate: 0.125,
             }),
             ServeError::Timeout {
                 deadline: Duration::from_millis(1500),

@@ -132,7 +132,7 @@ fn routed_batches_are_bit_identical_to_a_single_process() {
         ShardRouter::connect(&fleet.endpoints(), RouterConfig::default()).expect("router dials");
     let works: Vec<Work> = reqs.iter().cloned().map(Work::Sim).collect();
 
-    // Placement really shards: with 8 distinct matrices on a 3-shard
+    // Routing really shards: with 8 distinct matrices on a 3-shard
     // ring, more than one shard must own keys.
     let mut owners: Vec<usize> = works.iter().map(|w| router.primary(w)).collect();
     owners.sort_unstable();

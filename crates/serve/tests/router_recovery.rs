@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use tailors_serve::wire::WireTcpServer;
 use tailors_serve::{
-    MembershipError, Placement, Reply, RouterConfig, RuntimeConfig, ServiceRuntime, ShardRouter,
-    SimRequest, SimResponse, SimService, Work,
+    MembershipError, Reply, RouterConfig, RuntimeConfig, ServiceRuntime, ShardRouter, SimRequest,
+    SimResponse, SimService, Work,
 };
 use tailors_sim::{GridMode, MemBudget, Variant};
 
@@ -265,7 +265,7 @@ fn replicated_placement_absorbs_a_kill_without_timeouts() {
 
     let mut fleet = Fleet::spawn(SHARDS);
     let config = RouterConfig {
-        placement: Placement::Replicated(2),
+        replicas: 2,
         ..RouterConfig::default()
     };
     let router = ShardRouter::connect(&fleet.endpoints(), config).expect("router dials");

@@ -213,7 +213,7 @@ proptest! {
 
     #[test]
     fn error_replies_round_trip(
-        sel in 0u8..7,
+        sel in 0u8..6,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         msg_chars in proptest::collection::vec(32u8..127, 0..60),
@@ -223,15 +223,11 @@ proptest! {
         let err = match sel {
             0 => ServeError::Overloaded(OverloadReason::MailboxFull { capacity: a as usize }),
             1 => ServeError::Overloaded(OverloadReason::TensorBytes { estimated: a, limit: b }),
-            2 => ServeError::Overloaded(OverloadReason::PlanPressure {
-                pressure: (a % 1000) as f64 / 500.0,
-                hit_rate: (b % 1000) as f64 / 1000.0,
-            }),
-            3 => ServeError::Timeout {
+            2 => ServeError::Timeout {
                 deadline: std::time::Duration::new(a % (1 << 40), (b % 1_000_000_000) as u32),
             },
-            4 => ServeError::Faulted { panic: panicked, message },
-            5 => ServeError::BadRequest(message),
+            3 => ServeError::Faulted { panic: panicked, message },
+            4 => ServeError::BadRequest(message),
             _ => ServeError::Shutdown,
         };
         let mut line = String::new();
@@ -440,10 +436,6 @@ fn transcript_errors() -> Vec<ServeError> {
             estimated: 10,
             limit: 5,
         }),
-        ServeError::Overloaded(OverloadReason::PlanPressure {
-            pressure: 1.0,
-            hit_rate: 0.125,
-        }),
         ServeError::Timeout {
             deadline: std::time::Duration::new(1, 500),
         },
@@ -496,15 +488,18 @@ const SIM_REPLY: &str = r#"{"id":5,"ok":{"kind":"sim","resp":{"name":"email-Enro
 const FUNCTIONAL_REPLY: &str = r#"{"id":6,"ok":{"kind":"functional","resp":{"config":{"capacity":64,"fifo_region":8,"rows_a":2,"cols_b":3,"overbooking":true,"mem_budget":"unbounded","grid":"panels","auto_plan":false},"result":{"z":{"nrows":2,"ncols":3,"row_ptr":[0,2,3],"cols":[0,2,1],"vals":[4609434218613702656,9223372036854775808,118622047889322841]},"dram_a_fetches":7,"dram_b_fetches":9,"overbooked_a_tiles":1},"hits":{"tensor":false,"profile":true,"plan":true}}}}"#;
 
 /// One line per [`transcript_errors`] entry, in order.
-const ERROR_REPLIES: [&str; 7] = [
+const ERROR_REPLIES: [&str; 6] = [
     r#"{"id":7,"err":{"code":"overloaded","reason":"mailbox-full","capacity":64}}"#,
     r#"{"id":7,"err":{"code":"overloaded","reason":"tensor-bytes","estimated":10,"limit":5}}"#,
-    r#"{"id":7,"err":{"code":"overloaded","reason":"plan-pressure","pressure":4607182418800017408,"hit_rate":4593671619917905920}}"#,
     r#"{"id":7,"err":{"code":"timeout","deadline_secs":1,"deadline_nanos":500}}"#,
     r#"{"id":7,"err":{"code":"faulted","panic":true,"message":"quote \" slash \\ nl \n cr \r tab \t bell \u0007 é ✓ 𝄞"}}"#,
     r#"{"id":7,"err":{"code":"bad-request","message":"no such workload"}}"#,
     r#"{"id":7,"err":{"code":"shutdown"}}"#,
 ];
+
+/// An overload reason no server emits: a reply naming it is a protocol
+/// error, not a typed overload.
+const RETIRED_PLAN_PRESSURE_REPLY: &str = r#"{"id":7,"err":{"code":"overloaded","reason":"plan-pressure","pressure":4607182418800017408,"hit_rate":4593671619917905920}}"#;
 
 const MALFORMED_REPLY: &str = r#"{"id":null,"err":{"code":"malformed","message":"malformed wire message: expected ':' at offset 9"}}"#;
 
@@ -560,6 +555,10 @@ fn reply_lines_match_the_transcript_byte_for_byte() {
     {
         assert_reply_fixed_point(line);
     }
+    assert_eq!(
+        decode_reply(RETIRED_PLAN_PRESSURE_REPLY).unwrap_err(),
+        WireError::Malformed("unknown overload reason \"plan-pressure\"".into())
+    );
     let err = WireError::Malformed("expected ':' at offset 9".into());
     encode_malformed_reply_into(&err, &mut line);
     assert_eq!(line, MALFORMED_REPLY);
