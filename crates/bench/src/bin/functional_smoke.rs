@@ -9,13 +9,13 @@
 //!
 //! The knob flags (`--threads N`, `--mem-budget SPEC`, `--grid MODE`,
 //! `--auto-plan`, `--calibrate`, `--no-simd`) are resolved by
-//! [`Knobs`](tailors_sim::Knobs): flag, then `TAILORS_*` variable (so
+//! [`Knobs`]: flag, then `TAILORS_*` variable (so
 //! `run_all` reaches this binary the same way as every other), then the
 //! default — which for `--mem-budget` is this binary's own 256 MiB.
 //!
 //! `--spill` stores the generated tensor to a panel-granular TSPILL file
 //! and runs the engine out-of-core
-//! ([`run_spilled`](tailors_sim::functional::run_spilled)): `A` row
+//! ([`run_spilled`]): `A` row
 //! panels and `B = Aᵀ` column tiles page in on demand under the
 //! `--spill-residency` tile-cache cap (default 16 MiB — deliberately
 //! smaller than the CI acceptance matrix, so the clock-LRU cache must

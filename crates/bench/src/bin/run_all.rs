@@ -8,7 +8,7 @@
 //! full dimensions; expect a few minutes, dominated by tensor generation.
 //!
 //! The six knob flags are resolved here once by
-//! [`Knobs`](tailors_sim::Knobs) (flag, then `TAILORS_*` variable, then
+//! [`Knobs`] (flag, then `TAILORS_*` variable, then
 //! default) and handed to every child binary through the same variables
 //! ([`Knobs::child_env`](tailors_sim::Knobs::child_env)):
 //!

@@ -172,62 +172,6 @@ pub fn simulate_suite(scale: f64, knobs: &Knobs) -> Vec<SuiteRun> {
     run_balanced(suite.len(), &costs, knobs.threads, |i| one(&suite[i]))
 }
 
-/// [`simulate_suite`] routed through a long-lived
-/// [`SimService`](tailors_serve::SimService): one request per
-/// (workload, variant), submitted as a single cost-balanced batch, with
-/// profiles and plans answered from the service's cache tiers when hot.
-/// Output is bit-identical to the direct suite run under the same knobs
-/// at every thread count and for any cache state — a repeated sweep only
-/// gets *faster*, never different (`suite_results_are_identical_under_serving`
-/// pins this). The service plans auto-planned requests under its own
-/// configured cost model, which must be `knobs.cost_model`.
-///
-/// # Panics
-///
-/// Panics if `knobs.threads == 0`.
-pub fn simulate_suite_served(
-    service: &tailors_serve::SimService,
-    scale: f64,
-    knobs: &Knobs,
-) -> Vec<SuiteRun> {
-    assert!(knobs.threads > 0, "thread count must be positive");
-    let arch = arch_at(scale);
-    let suite = tailors_workloads::suite();
-    let variants = [
-        Variant::ExTensorN,
-        Variant::ExTensorP,
-        Variant::default_ob(),
-    ];
-    let reqs: Vec<tailors_serve::SimRequest> = suite
-        .iter()
-        .flat_map(|wl| {
-            variants.map(|variant| tailors_serve::SimRequest {
-                workload: wl.scaled(scale),
-                variant,
-                arch,
-                budget: knobs.mem_budget,
-                grid: knobs.grid,
-                auto_plan: knobs.auto_plan,
-            })
-        })
-        .collect();
-    let responses = service.submit_batch(&reqs, knobs.threads);
-    suite
-        .iter()
-        .zip(responses.chunks(variants.len()))
-        .map(|(wl, r)| {
-            let (workload, profile) = profile_at(wl, scale);
-            SuiteRun {
-                workload,
-                profile,
-                n: r[0].metrics,
-                p: r[1].metrics,
-                ob: r[2].metrics,
-            }
-        })
-        .collect()
-}
-
 /// Prints a horizontal rule sized to `width`.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -290,27 +234,6 @@ mod tests {
             assert_eq!(s.speedup_ob().to_bits(), p.speedup_ob().to_bits());
             assert_eq!(s.energy_gain_p().to_bits(), p.energy_gain_p().to_bits());
         }
-    }
-
-    #[test]
-    fn suite_results_are_identical_under_serving() {
-        let scale = 1.0 / 256.0;
-        let direct = simulate_suite(scale, &threads(1));
-        let service = tailors_serve::SimService::new();
-        // Cold pass, then a fully plan-hot pass, at different widths:
-        // all bit-identical to the direct suite.
-        for threads in [1, 3] {
-            let served = simulate_suite_served(&service, scale, &self::threads(threads));
-            assert_eq!(served.len(), direct.len());
-            for (s, d) in served.iter().zip(&direct) {
-                assert_eq!(s.workload.name, d.workload.name);
-                assert_eq!(s.n, d.n, "{} threads={threads}", s.workload.name);
-                assert_eq!(s.p, d.p, "{} threads={threads}", s.workload.name);
-                assert_eq!(s.ob, d.ob, "{} threads={threads}", s.workload.name);
-            }
-        }
-        let stats = service.stats();
-        assert_eq!(stats.plan_hits, 66, "second pass must be fully plan-hot");
     }
 
     /// The suite's auto plans come from `knobs.cost_model`: a skewed model

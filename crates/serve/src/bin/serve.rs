@@ -94,7 +94,7 @@ use std::time::Instant;
 use tailors_serve::wire::{serve_lines, WireClient, WireTcpServer};
 use tailors_serve::{
     FaultPlan, FunctionalRequest, Reply, RouterConfig, RuntimeConfig, ServeConfig, ServeError,
-    ServiceRuntime, ShardRouter, SimRequest, SimService, Work,
+    ServiceRuntime, ShardRouter, SimRequest, SimResponse, SimService, Work,
 };
 use tailors_sim::functional::reference_run;
 use tailors_sim::{ArchConfig, GridMode, Knobs, MemBudget, Variant};
@@ -248,7 +248,7 @@ fn main() {
         cost_model,
         ..ServeConfig::default()
     });
-    let mut first: Option<Vec<tailors_serve::SimResponse>> = None;
+    let mut first: Option<Vec<SimResponse>> = None;
     for sweep in 1..=sweeps {
         let before = service.stats();
         let t = Instant::now();
@@ -262,26 +262,14 @@ fn main() {
             after.plan_hits - before.plan_hits,
             after.plan_misses - before.plan_misses,
         );
-        match &first {
-            None => {
-                // Steady state starts at sweep 2: every tier hot.
-                first = Some(responses);
-            }
-            Some(cold) => {
-                assert!(
-                    responses.iter().all(|r| r.hits.profile && r.hits.plan),
-                    "steady-state sweeps must hit the profile and plan tiers"
-                );
-                for (c, h) in cold.iter().zip(&responses) {
-                    assert_eq!(c.name, h.name);
-                    assert_eq!(
-                        c.metrics, h.metrics,
-                        "{}: hot response diverged from cold",
-                        c.name
-                    );
-                }
-            }
+        // Steady state starts at sweep 2: every tier hot.
+        if first.is_some() {
+            assert!(
+                responses.iter().all(|r| r.hits.profile && r.hits.plan),
+                "steady-state sweeps must hit the profile and plan tiers"
+            );
         }
+        check_sweep(&mut first, responses, "hot sweep");
     }
     let stats = service.stats();
     println!(
@@ -526,37 +514,13 @@ fn run_wire_smoke(scale: f64, threads: usize) {
     let mut clients: Vec<WireClient> = (0..2)
         .map(|_| WireClient::connect(addr).expect("connect wire client"))
         .collect();
-    let (mut completed, mut faulted, mut rejected, mut timed_out) = (0u64, 0u64, 0u64, 0u64);
+    let mut tally = Tally::default();
     let t = Instant::now();
     for (i, (req, expect)) in batch.iter().zip(&baseline).enumerate() {
-        let client = &mut clients[i % 2];
-        match client
+        let outcome = clients[i % 2]
             .call(&Work::Sim(req.clone()))
-            .expect("wire transport")
-        {
-            Ok(Reply::Sim(resp)) => {
-                assert_eq!(resp.name, expect.name);
-                assert_eq!(
-                    resp.metrics, expect.metrics,
-                    "{}: wire reply diverged from the in-process baseline",
-                    expect.name
-                );
-                completed += 1;
-            }
-            Ok(Reply::Functional(_)) => panic!("functional reply to a sim request"),
-            Err(ServeError::Faulted { .. }) => faulted += 1,
-            Err(ServeError::Timeout { .. }) => timed_out += 1,
-            Err(e @ (ServeError::Overloaded(_) | ServeError::BadRequest(_))) => {
-                // Admission is sized generously for this batch; anything
-                // rejected here must be an *injected* fault, not policy.
-                assert!(
-                    FaultPlan::from_env().is_active(),
-                    "unexpected rejection without faults armed: {e}"
-                );
-                rejected += 1;
-            }
-            Err(ServeError::Shutdown) => panic!("server shut down mid-smoke"),
-        }
+            .expect("wire transport");
+        tally.sim(outcome, expect, "wire");
     }
 
     // One functional request rides along, proving the heavyweight payload
@@ -583,12 +547,9 @@ fn run_wire_smoke(scale: f64, threads: usize) {
                 resp.result, direct.result,
                 "functional wire reply diverged from the in-process baseline"
             );
-            completed += 1;
+            tally.completed += 1;
         }
-        Err(ServeError::Faulted { .. }) => faulted += 1,
-        Err(ServeError::Timeout { .. }) => timed_out += 1,
-        Err(ServeError::Shutdown) => panic!("server shut down mid-smoke"),
-        Err(_) => rejected += 1,
+        Err(e) => tally.error(e),
     }
     let elapsed = t.elapsed();
 
@@ -596,10 +557,7 @@ fn run_wire_smoke(scale: f64, threads: usize) {
     server.stop();
     let shutdown = runtime.shutdown();
     let stats = shutdown.stats;
-    println!(
-        "wire smoke: {elapsed:.2?}; client view: {completed} completed, {faulted} faulted, \
-         {rejected} rejected, {timed_out} timed out"
-    );
+    println!("wire smoke: {elapsed:.2?}; client view: {tally}");
     println!(
         "wire smoke: server view: {} submitted = {} completed + {} faulted + {} rejected + \
          {} timed out ({} panics isolated, {} injected panics, {} injected latency, \
@@ -622,11 +580,14 @@ fn run_wire_smoke(scale: f64, threads: usize) {
         "request accounting must balance"
     );
     assert_eq!(
-        completed + faulted + rejected + timed_out,
+        tally.total(),
         stats.submitted,
         "client outcomes must account for every submission"
     );
-    assert!(completed > 0, "smoke must complete at least one request");
+    assert!(
+        tally.completed > 0,
+        "smoke must complete at least one request"
+    );
     let faults = FaultPlan::from_env();
     if faults.panic_every.is_some() {
         assert!(
@@ -738,29 +699,17 @@ fn run_router_sweeps(
         endpoints.len()
     );
     let router = ShardRouter::connect(endpoints, config).expect("router dials every shard");
-    let mut first: Option<Vec<tailors_serve::SimResponse>> = None;
+    let mut first: Option<Vec<SimResponse>> = None;
     for sweep in 1..=sweeps {
         let t = Instant::now();
         let outcomes = router.submit_batch(&works);
         let elapsed = t.elapsed();
-        let responses: Vec<tailors_serve::SimResponse> = outcomes
+        let responses: Vec<SimResponse> = outcomes
             .into_iter()
             .map(|o| o.expect("request served").into_sim().expect("sim reply"))
             .collect();
         println!("router sweep {sweep}: {elapsed:.2?}");
-        match &first {
-            None => first = Some(responses),
-            Some(cold) => {
-                for (c, h) in cold.iter().zip(&responses) {
-                    assert_eq!(c.name, h.name);
-                    assert_eq!(
-                        c.metrics, h.metrics,
-                        "{}: routed sweep diverged from the first",
-                        c.name
-                    );
-                }
-            }
-        }
+        check_sweep(&mut first, responses, "routed sweep");
     }
     report_router(&router);
     println!("OK");
@@ -839,15 +788,8 @@ fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
     // Leg one: everything healthy — route the whole batch.
     let t = Instant::now();
     let healthy = drive_router(&router, &works, &baseline);
-    println!(
-        "router smoke leg 1: {:.2?}; {} completed, {} faulted, {} rejected, {} timed out",
-        t.elapsed(),
-        healthy[0],
-        healthy[1],
-        healthy[2],
-        healthy[3],
-    );
-    assert!(healthy[0] > 0, "leg 1 must complete requests");
+    println!("router smoke leg 1: {:.2?}; {healthy}", t.elapsed());
+    assert!(healthy.completed > 0, "leg 1 must complete requests");
     let stats = router.stats();
     assert_eq!(stats.shards_down, 0, "leg 1 must not lose a shard");
     assert_eq!(stats.failovers, 0, "leg 1 must not fail over");
@@ -858,18 +800,13 @@ fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
     let mid = works.len() / 2;
     let victim = router.primary(&works[mid]);
     let t = Instant::now();
-    let first_half = drive_router(&router, &works[..mid], &baseline[..mid]);
+    let mut leg2 = drive_router(&router, &works[..mid], &baseline[..mid]);
     println!("router smoke leg 2: killing shard {victim} mid-stream");
     fleet[victim].kill();
-    let second_half = drive_router(&router, &works[mid..], &baseline[mid..]);
+    leg2 += drive_router(&router, &works[mid..], &baseline[mid..]);
     println!(
-        "router smoke leg 2: {:.2?}; {} completed, {} faulted, {} rejected, {} timed out \
-         after losing shard {victim}",
-        t.elapsed(),
-        first_half[0] + second_half[0],
-        first_half[1] + second_half[1],
-        first_half[2] + second_half[2],
-        first_half[3] + second_half[3],
+        "router smoke leg 2: {:.2?}; {leg2} after losing shard {victim}",
+        t.elapsed()
     );
     let stats = router.stats();
     assert_eq!(stats.shards_down, 1, "exactly the killed shard goes down");
@@ -884,8 +821,7 @@ fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
             "replicated placement must absorb the kill without a single timeout"
         );
         assert_eq!(
-            first_half[3] + second_half[3],
-            0,
+            leg2.timed_out, 0,
             "no client-visible timeout under replication"
         );
     }
@@ -927,9 +863,9 @@ fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
     println!(
         "router smoke leg 3: {:.2?}; {} completed after probe recovery",
         t.elapsed(),
-        recovered[0],
+        recovered.completed,
     );
-    assert!(recovered[0] > 0, "leg 3 must complete requests");
+    assert!(recovered.completed > 0, "leg 3 must complete requests");
     assert!(
         router.shard_stats()[victim].replies > replies_before,
         "the recovered shard must serve its ring keys again"
@@ -950,7 +886,7 @@ fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
     );
     let t = Instant::now();
     let post_join = drive_router(&router, &works, &baseline);
-    assert!(post_join[0] > 0, "leg 4 must complete requests");
+    assert!(post_join.completed > 0, "leg 4 must complete requests");
     if owned > 0 {
         assert!(
             router.shard_stats()[joined].replies > 0,
@@ -960,7 +896,7 @@ fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
     router.leave(joined).expect("retire the fourth shard");
     let calls_at_leave = router.shard_stats()[joined].calls;
     let post_leave = drive_router(&router, &works, &baseline);
-    assert!(post_leave[0] > 0, "post-leave batch must complete");
+    assert!(post_leave.completed > 0, "post-leave batch must complete");
     assert_eq!(
         router.shard_stats()[joined].calls,
         calls_at_leave,
@@ -981,39 +917,101 @@ fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
 }
 
 /// Routes `works` and checks every completed reply bitwise against the
-/// in-process `expect` baseline; returns
-/// `[completed, faulted, rejected, timed_out]`. Non-completed outcomes
-/// are legitimate only under armed fault injection — with a healthy or
-/// merely degraded (not empty) fleet, everything must complete.
-fn drive_router(
-    router: &ShardRouter,
-    works: &[Work],
-    expect: &[tailors_serve::SimResponse],
-) -> [u64; 4] {
-    let outcomes = router.submit_batch(works);
-    let mut tally = [0u64; 4];
-    for (i, outcome) in outcomes.into_iter().enumerate() {
+/// in-process `expect` baseline (see [`Tally::sim`]).
+fn drive_router(router: &ShardRouter, works: &[Work], expect: &[SimResponse]) -> Tally {
+    let mut tally = Tally::default();
+    for (outcome, expect) in router.submit_batch(works).into_iter().zip(expect) {
+        tally.sim(outcome, expect, "routed");
+    }
+    tally
+}
+
+/// Client-side outcome counts for the wire and router smokes; every
+/// submission lands in exactly one bucket.
+#[derive(Default)]
+struct Tally {
+    completed: u64,
+    faulted: u64,
+    rejected: u64,
+    timed_out: u64,
+}
+
+impl Tally {
+    /// Counts one analytical outcome; a completed reply must be
+    /// bit-identical to the in-process `expect` baseline.
+    fn sim(&mut self, outcome: Result<Reply, ServeError>, expect: &SimResponse, path: &str) {
         match outcome {
             Ok(reply) => {
                 let resp = reply.into_sim().expect("sim reply");
-                assert_eq!(resp.name, expect[i].name);
+                assert_eq!(resp.name, expect.name);
                 assert_eq!(
-                    resp.metrics, expect[i].metrics,
-                    "{}: routed reply diverged from the in-process baseline",
-                    expect[i].name
+                    resp.metrics, expect.metrics,
+                    "{}: {path} reply diverged from the in-process baseline",
+                    expect.name
                 );
-                tally[0] += 1;
+                self.completed += 1;
             }
-            Err(ServeError::Faulted { .. }) => tally[1] += 1,
-            Err(ServeError::Timeout { .. }) => tally[3] += 1,
-            Err(e) => {
+            Err(e) => self.error(e),
+        }
+    }
+
+    /// Counts one typed failure. Admission is sized generously for the
+    /// smoke batches, so a rejection is legitimate only as an *injected*
+    /// fault (`TAILORS_FAULTS` armed), and no smoke shuts its server
+    /// down mid-run.
+    fn error(&mut self, e: ServeError) {
+        match e {
+            ServeError::Faulted { .. } => self.faulted += 1,
+            ServeError::Timeout { .. } => self.timed_out += 1,
+            ServeError::Overloaded(_) | ServeError::BadRequest(_) => {
                 assert!(
                     FaultPlan::from_env().is_active(),
                     "unexpected rejection without faults armed: {e}"
                 );
-                tally[2] += 1;
+                self.rejected += 1;
             }
+            ServeError::Shutdown => panic!("server shut down mid-smoke"),
         }
     }
-    tally
+
+    fn total(&self) -> u64 {
+        self.completed + self.faulted + self.rejected + self.timed_out
+    }
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, other: Tally) {
+        self.completed += other.completed;
+        self.faulted += other.faulted;
+        self.rejected += other.rejected;
+        self.timed_out += other.timed_out;
+    }
+}
+
+impl std::fmt::Display for Tally {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} completed, {} faulted, {} rejected, {} timed out",
+            self.completed, self.faulted, self.rejected, self.timed_out
+        )
+    }
+}
+
+/// Keeps the first sweep's responses and asserts every later sweep
+/// bit-identical to them.
+fn check_sweep(first: &mut Option<Vec<SimResponse>>, responses: Vec<SimResponse>, sweep: &str) {
+    let Some(cold) = first else {
+        *first = Some(responses);
+        return;
+    };
+    assert_eq!(cold.len(), responses.len());
+    for (c, h) in cold.iter().zip(&responses) {
+        assert_eq!(c.name, h.name);
+        assert_eq!(
+            c.metrics, h.metrics,
+            "{}: {sweep} diverged from the first",
+            c.name
+        );
+    }
 }

@@ -84,7 +84,7 @@ pub mod sync;
 pub mod wire;
 
 pub use lru::Lru;
-pub use mailbox::{Mailbox, MailboxStats, Priority, PushError};
+pub use mailbox::{Mailbox, Priority, PushError};
 pub use runtime::{
     FaultPlan, FaultSpecError, OverloadReason, Reply, RetryPolicy, RuntimeConfig, RuntimeStats,
     ServeError, ServiceRuntime, ShutdownReport, Work,
@@ -103,6 +103,7 @@ pub use wire::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tailors_sim::functional::FunctionalConfig;
     use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
     use tailors_tensor::gen::GenSpec;
 
@@ -231,6 +232,15 @@ mod tests {
         let direct = tailors_sim::functional::run_with_threads(&a, &served_auto.config, 1).unwrap();
         assert_eq!(served_auto.result, direct);
         assert_eq!(served_auto.result.z, served_fixed.result.z);
+        // The engine left to plan the fixed request's config itself
+        // derives the plan the service resolved at its plan tier.
+        let engine_auto = FunctionalConfig {
+            auto_plan: true,
+            ..served_fixed.config
+        };
+        let engine_planned =
+            tailors_sim::functional::run_with_threads(&a, &engine_auto, 1).unwrap();
+        assert_eq!(served_auto.result, engine_planned);
         // Auto and fixed plans occupy distinct cache slots: the auto
         // request was a plan miss despite the fixed one having populated
         // the tier, and its resubmission hits.

@@ -57,25 +57,11 @@ impl<T> PushError<T> {
     }
 }
 
-/// Monotone counters describing a mailbox's traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MailboxStats {
-    /// Messages accepted by `try_push`.
-    pub pushed: u64,
-    /// Pushes refused because the mailbox was at capacity.
-    pub rejected_full: u64,
-    /// Pushes refused because the mailbox was closed.
-    pub rejected_closed: u64,
-    /// Messages handed to consumers.
-    pub popped: u64,
-}
-
 #[derive(Debug)]
 struct State<T> {
     high: VecDeque<T>,
     low: VecDeque<T>,
     closed: bool,
-    stats: MailboxStats,
 }
 
 impl<T> State<T> {
@@ -84,11 +70,7 @@ impl<T> State<T> {
     }
 
     fn pop_front(&mut self) -> Option<T> {
-        let v = self.high.pop_front().or_else(|| self.low.pop_front());
-        if v.is_some() {
-            self.stats.popped += 1;
-        }
-        v
+        self.high.pop_front().or_else(|| self.low.pop_front())
     }
 }
 
@@ -117,7 +99,6 @@ impl<T> Mailbox<T> {
                 high: VecDeque::new(),
                 low: VecDeque::new(),
                 closed: false,
-                stats: MailboxStats::default(),
             }),
             available: PoisonFreeCondvar::new(),
         }
@@ -138,11 +119,6 @@ impl<T> Mailbox<T> {
         self.len() == 0
     }
 
-    /// A snapshot of the traffic counters.
-    pub fn stats(&self) -> MailboxStats {
-        self.state.lock().stats
-    }
-
     /// Attempts to enqueue `value` on `priority`'s lane. Refuses — handing
     /// the value back — when the mailbox is at capacity
     /// ([`PushError::Full`], the backpressure signal) or closed
@@ -154,18 +130,15 @@ impl<T> Mailbox<T> {
     pub fn try_push(&self, priority: Priority, value: T) -> Result<(), PushError<T>> {
         let mut s = self.state.lock();
         if s.closed {
-            s.stats.rejected_closed += 1;
             return Err(PushError::Closed(value));
         }
         if s.len() >= self.capacity {
-            s.stats.rejected_full += 1;
             return Err(PushError::Full(value));
         }
         match priority {
             Priority::High => s.high.push_back(value),
             Priority::Low => s.low.push_back(value),
         }
-        s.stats.pushed += 1;
         drop(s);
         self.available.notify_one();
         Ok(())
@@ -187,11 +160,6 @@ impl<T> Mailbox<T> {
             }
             s = self.available.wait(s);
         }
-    }
-
-    /// Dequeues the next message if one is queued; never blocks.
-    pub fn try_pop(&self) -> Option<T> {
-        self.state.lock().pop_front()
     }
 
     /// Closes the mailbox: further pushes are refused, queued messages
@@ -231,11 +199,11 @@ mod tests {
         mb.try_push(Priority::High, 10).unwrap();
         mb.try_push(Priority::High, 11).unwrap();
         assert_eq!(mb.len(), 4);
-        assert_eq!(mb.try_pop(), Some(10));
-        assert_eq!(mb.try_pop(), Some(11));
-        assert_eq!(mb.try_pop(), Some(1));
-        assert_eq!(mb.try_pop(), Some(2));
-        assert_eq!(mb.try_pop(), None);
+        assert_eq!(mb.pop(), Some(10));
+        assert_eq!(mb.pop(), Some(11));
+        assert_eq!(mb.pop(), Some(1));
+        assert_eq!(mb.pop(), Some(2));
+        assert!(mb.is_empty());
     }
 
     #[test]
@@ -245,10 +213,9 @@ mod tests {
         mb.try_push(Priority::High, 2).unwrap();
         // Capacity bounds the sum of both lanes.
         assert_eq!(mb.try_push(Priority::High, 3), Err(PushError::Full(3)));
-        let s = mb.stats();
-        assert_eq!((s.pushed, s.rejected_full), (2, 1));
+        assert_eq!(mb.len(), 2);
         // Draining one slot readmits.
-        assert_eq!(mb.try_pop(), Some(2));
+        assert_eq!(mb.pop(), Some(2));
         mb.try_push(Priority::High, 3).unwrap();
     }
 
@@ -260,7 +227,6 @@ mod tests {
         assert_eq!(mb.try_push(Priority::Low, 2), Err(PushError::Closed(2)));
         assert_eq!(mb.pop(), Some(1));
         assert_eq!(mb.pop(), None);
-        assert_eq!(mb.stats().rejected_closed, 1);
     }
 
     #[test]

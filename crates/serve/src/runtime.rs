@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use tailors_sim::functional::{scratch_pool_stats, EngineError};
 use tailors_tensor::storage::PoolStats;
 
-use crate::mailbox::{Mailbox, MailboxStats, Priority, PushError};
+use crate::mailbox::{Mailbox, Priority, PushError};
 use crate::service::{FunctionalRequest, FunctionalResponse, SimRequest, SimResponse, SimService};
 use crate::sync::PoisonFreeMutex;
 
@@ -237,7 +237,7 @@ impl std::error::Error for FaultSpecError {}
 pub struct FaultPlan {
     /// Panic inside the worker on every `N`-th executed request.
     pub panic_every: Option<u64>,
-    /// Sleep [`FaultPlan::latency`] before every `N`-th executed request.
+    /// Sleep [`FaultPlan::latency_ms`] before every `N`-th executed request.
     pub latency_every: Option<u64>,
     /// Injected latency duration (default 1 ms).
     pub latency_ms: u64,
@@ -615,11 +615,6 @@ impl ServiceRuntime {
             injected_rejects: c.injected_rejects.load(Ordering::SeqCst),
             injected_drops: c.injected_drops.load(Ordering::SeqCst),
         }
-    }
-
-    /// A snapshot of the mailbox's traffic counters.
-    pub fn mailbox_stats(&self) -> MailboxStats {
-        self.mailbox.stats()
     }
 
     /// The worker pool's scratch-pool counters, rolled up across all

@@ -524,38 +524,6 @@ impl ExecutionPlan {
     pub fn units(&self) -> impl Iterator<Item = PlanUnit> + '_ {
         (0..self.n_row_panels()).flat_map(move |pi| self.panel_units(pi))
     }
-
-    /// The budget-aware auto-tiling planner: picks the panel height
-    /// (`rows_a`) that minimizes [`AutoPlanner`]'s closed-form traffic
-    /// model for this `budget`, instead of accepting a caller-fixed
-    /// height and paying whatever column-block count falls out. The
-    /// streamed tile width `cols_b` is kept as given (it fixes the
-    /// buffer-traversal counts); the column-*block* width co-moves with
-    /// the chosen height through the budget. See [`AutoPlanner`] for the
-    /// model and [`AutoPlanner::with_buffer`] /
-    /// [`AutoPlanner::with_baseline`] for the optional refinements this
-    /// convenience constructor forwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols_b == 0`.
-    pub fn auto_for_budget(
-        profile: &MatrixProfile,
-        cols_b: usize,
-        budget: MemBudget,
-        buffer: Option<BufferParams>,
-        baseline_rows_a: Option<usize>,
-        model: CostModel,
-    ) -> ExecutionPlan {
-        let mut planner = AutoPlanner::new(profile, cols_b, budget).with_cost_model(model);
-        if let Some(b) = buffer {
-            planner = planner.with_buffer(b);
-        }
-        if let Some(r) = baseline_rows_a {
-            planner = planner.with_baseline(r);
-        }
-        planner.plan()
-    }
 }
 
 /// Operand-buffer parameters the auto planner's A-side refetch term
@@ -811,18 +779,11 @@ pub struct PlanCost {
     pub extraction_passes: u128,
     /// `scratch_fills + b_refetch + extraction_passes` — the raw
     /// equal-weight element-touch total (kept for reporting and for the
-    /// historical tests' assertions; the spill term is deliberately
-    /// excluded so in-RAM totals are unchanged).
+    /// historical tests' assertions).
     pub total: u128,
-    /// Spill-tier page-in volume when the streamed operand is
-    /// file-backed: every panel demands one pass over the spilled tiles
-    /// (`n_row_panels × nnz`). Zero unless the planner was given a spill
-    /// weight ([`AutoPlanner::with_spill`]).
-    pub spill_traffic: u128,
     /// The planner's objective: the three terms weighted by its
     /// [`CostModel`] (equal to `total` under [`CostModel::UNIFORM`],
-    /// estimated picoseconds under a calibrated model), plus the
-    /// spill-weighted `spill_traffic` for file-backed plans.
+    /// estimated picoseconds under a calibrated model).
     pub weighted_total: u128,
 }
 
@@ -867,9 +828,6 @@ pub struct AutoPlanner<'a> {
     buffer: Option<BufferParams>,
     baseline_rows_a: Option<usize>,
     model: CostModel,
-    /// Weight (cost units per element) of paging one streamed element in
-    /// from the spill tier; `None` for in-RAM operands.
-    spill: Option<u64>,
 }
 
 impl<'a> AutoPlanner<'a> {
@@ -888,7 +846,6 @@ impl<'a> AutoPlanner<'a> {
             buffer: None,
             baseline_rows_a: None,
             model: CostModel::UNIFORM,
-            spill: None,
         }
     }
 
@@ -921,22 +878,6 @@ impl<'a> AutoPlanner<'a> {
         self
     }
 
-    /// Prices spill-tier traffic for a file-backed streamed operand:
-    /// every panel pages the whole spilled operand in once, so the term
-    /// is `n_row_panels × nnz × w_spill`. Disk touches cost orders of
-    /// magnitude more than the in-RAM B-refetch the equal-weight model
-    /// charges for the same volume, so any realistic `w_spill` pushes
-    /// the choice toward **taller panels** (fewer passes over the file)
-    /// — exactly the preference the paper's buffer model has for
-    /// stationary reuse, applied one tier down. The in-RAM `total` field
-    /// is unchanged; only the weighted objective (and the choice) move,
-    /// and the neighborhood sweep runs even under a uniform model since
-    /// the objective is no longer a uniform scaling of `total`.
-    pub fn with_spill(mut self, w_spill: u64) -> Self {
-        self.spill = Some(w_spill);
-        self
-    }
-
     /// The closed-form cost of one candidate height. O(`nrows / rows_a`)
     /// over the profile's prefix sums when a buffer model is set, O(1)
     /// otherwise.
@@ -962,11 +903,6 @@ impl<'a> AutoPlanner<'a> {
         let scratch_fills = nnz + traversals.saturating_sub(1) * steady;
         let b_refetch = n_panels * nnz;
         let extraction_passes = nrows as u128 * n_blocks;
-        let spill_traffic = match self.spill {
-            Some(_) => n_panels * nnz,
-            None => 0,
-        };
-        let spill_cost = spill_traffic * self.spill.unwrap_or(0) as u128;
         PlanCost {
             rows_a,
             col_blocks: plan.n_col_blocks(),
@@ -975,11 +911,9 @@ impl<'a> AutoPlanner<'a> {
             b_refetch,
             extraction_passes,
             total: scratch_fills + b_refetch + extraction_passes,
-            spill_traffic,
             weighted_total: self
                 .model
-                .weighted(scratch_fills, b_refetch, extraction_passes)
-                + spill_cost,
+                .weighted(scratch_fills, b_refetch, extraction_passes),
         }
     }
 
@@ -1012,7 +946,7 @@ impl<'a> AutoPlanner<'a> {
         // element-touch total, so the historical candidate set already
         // contains their optimum and the historical choices are
         // reproduced exactly.
-        if !self.model.is_uniform() || self.spill.is_some() {
+        if !self.model.is_uniform() {
             let incumbent = best.rows_a as i128;
             let radius = (incumbent / 4).max(1);
             let step = (radius / 4).max(1);
@@ -1260,36 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_weight_prefers_taller_panels() {
-        let p = uniform_profile();
-        let base = AutoPlanner::new(&p, 32, MemBudget::bytes(64 << 10))
-            .with_buffer(BufferParams {
-                capacity: 2_048,
-                fifo_region: 256,
-                overbooking: true,
-            })
-            .with_baseline(256);
-        let in_ram = base.choose();
-        // Disk touches dwarf every in-RAM term: the planner must trade
-        // extraction passes and scratch refetch for fewer passes over the
-        // spilled operand, i.e. panels at least as tall as the in-RAM
-        // choice (strictly taller at this operating point).
-        let spilled = base.with_spill(1_000_000).choose();
-        assert!(
-            spilled.rows_a > in_ram.rows_a,
-            "spill-aware choice {} not taller than in-RAM {}",
-            spilled.rows_a,
-            in_ram.rows_a
-        );
-        // The term is the page-in volume at the chosen height, and the
-        // equal-weight element-touch total is untouched by the weight.
-        let n_panels = p.nrows().div_ceil(spilled.rows_a) as u128;
-        assert_eq!(spilled.spill_traffic, n_panels * p.nnz() as u128);
-        assert_eq!(in_ram.spill_traffic, 0);
-        assert_eq!(base.cost_of(spilled.rows_a).total, spilled.total);
-    }
-
-    #[test]
     fn degenerate_calibration_reproduces_uniform_plan_choices() {
         // A calibration that measures all three terms equally expensive
         // (whatever the shared magnitude) must reproduce the historical
@@ -1419,25 +1323,13 @@ mod tests {
     #[test]
     fn auto_planner_handles_degenerate_profiles() {
         let empty = MatrixProfile::new(0, 0, vec![], vec![]);
-        let plan = ExecutionPlan::auto_for_budget(
-            &empty,
-            8,
-            MemBudget::mib(1),
-            None,
-            None,
-            CostModel::UNIFORM,
-        );
+        let plan = AutoPlanner::new(&empty, 8, MemBudget::mib(1)).plan();
         assert_eq!(plan.n_row_panels(), 0);
         assert_eq!(plan.units().count(), 0);
         let tiny = MatrixProfile::new(1, 1, vec![1], vec![1]);
-        let plan = ExecutionPlan::auto_for_budget(
-            &tiny,
-            8,
-            MemBudget::bytes(8),
-            None,
-            Some(4),
-            CostModel::UNIFORM,
-        );
+        let plan = AutoPlanner::new(&tiny, 8, MemBudget::bytes(8))
+            .with_baseline(4)
+            .plan();
         assert_eq!(plan.rows_a(), 1);
     }
 

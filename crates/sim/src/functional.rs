@@ -43,7 +43,7 @@
 //! [`GridMode::Panels`] all column blocks of a panel run on the panel's
 //! thread through one shared buffer driver, so every DRAM count is the
 //! shared-driver count by construction. Under [`GridMode::Grid2D`] every
-//! (panel × block) [`PlanUnit`](crate::exec::PlanUnit) is its own work
+//! (panel × block) [`PlanUnit`] is its own work
 //! item with its **own** buffer driver — `panels × blocks`-way
 //! parallelism — and traffic is accounted per block ([`UnitTraffic`])
 //! with an exact reduction back to the shared-driver totals:
@@ -88,7 +88,8 @@
 //!   read-ahead). Both payloads are index-checked as they page in.
 
 use crate::exec::{
-    run_balanced, BufferParams, CostModel, ExecutionPlan, GridMode, MemBudget, PlanUnit,
+    run_balanced, AutoPlanner, BufferParams, CostModel, ExecutionPlan, GridMode, MemBudget,
+    PlanUnit,
 };
 use std::sync::Arc;
 use tailors_eddo::{Buffet, EddoError, Tailor, TailorConfig};
@@ -258,7 +259,7 @@ pub struct FunctionalConfig {
     /// Opt-in budget-aware auto-tiling: when set, `rows_a` is only the
     /// *baseline* candidate — the engine re-plans the panel height
     /// against `mem_budget` through the
-    /// [`AutoPlanner`](crate::exec::AutoPlanner) (see
+    /// [`AutoPlanner`] (see
     /// [`auto_execution_plan`], under [`CostModel::UNIFORM`]) before
     /// running. The output matrix is
     /// bit-identical to [`reference_run`] either way (results never
@@ -289,7 +290,7 @@ impl FunctionalConfig {
 }
 
 /// The auto-tiled execution plan for `config` on `a`: the
-/// [`AutoPlanner`](crate::exec::AutoPlanner) over the matrix's occupancy
+/// [`AutoPlanner`] over the matrix's occupancy
 /// profile, with the config's buffer as the refetch model, its `rows_a`
 /// as the baseline candidate and `model` weighting the terms. A fixed
 /// run at `plan.rows_a()` executes exactly this plan; an auto-planned
@@ -304,14 +305,12 @@ pub fn auto_execution_plan(
     config: &FunctionalConfig,
     model: CostModel,
 ) -> ExecutionPlan {
-    ExecutionPlan::auto_for_budget(
-        &a.profile(),
-        config.cols_b,
-        config.mem_budget,
-        Some(config.buffer_params()),
-        Some(config.rows_a),
-        model,
-    )
+    let profile = a.profile();
+    AutoPlanner::new(&profile, config.cols_b, config.mem_budget)
+        .with_buffer(config.buffer_params())
+        .with_baseline(config.rows_a)
+        .with_cost_model(model)
+        .plan()
 }
 
 /// Result of a functional run.
@@ -436,7 +435,7 @@ fn run_panels<O: Operand>(
 }
 
 /// Block-local traffic accounting of one (panel × block)
-/// [`PlanUnit`](crate::exec::PlanUnit) executed with its own buffer
+/// [`PlanUnit`] executed with its own buffer
 /// driver ([`GridMode::Grid2D`]).
 ///
 /// `dram_a_fetches` applies the per-block reduction (see the

@@ -17,7 +17,7 @@
 //! [`GridMode::parse`] accepts; the boolean variables take `1`/`true`/
 //! `yes` or `0`/`false`/`no` (case-insensitive, empty = off), and
 //! `TAILORS_SIMD` takes the grammar of
-//! [`parse_simd_mode`](tailors_tensor::simd::parse_simd_mode), of which
+//! [`parse_simd_mode`], of which
 //! only `off` counts as no-simd. A malformed value panics with a message
 //! naming the flag or variable it came from.
 //!

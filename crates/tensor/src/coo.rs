@@ -111,12 +111,6 @@ impl CooMatrix {
             .zip(&self.vals)
             .map(|((&r, &c), &v)| (r as usize, c as usize, v))
     }
-
-    /// Consumes the matrix, returning the raw `(rows, cols, vals)` triplet
-    /// arrays.
-    pub fn into_parts(self) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
-        (self.rows, self.cols, self.vals)
-    }
 }
 
 impl Extend<(usize, usize, f64)> for CooMatrix {

@@ -216,22 +216,6 @@ impl CsrMatrix {
         Ok(Self::from_coo(&coo))
     }
 
-    /// Builds a dense-layout CSR matrix from a row-major 2-D array of values,
-    /// skipping zeros.
-    pub fn from_dense(rows: &[Vec<f64>]) -> Self {
-        let nrows = rows.len();
-        let ncols = rows.iter().map(Vec::len).max().unwrap_or(0);
-        let mut coo = CooMatrix::new(nrows, ncols);
-        for (r, row) in rows.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    coo.push(r, c, v).expect("in bounds by construction");
-                }
-            }
-        }
-        Self::from_coo(&coo)
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -623,8 +607,9 @@ mod tests {
 
     #[test]
     fn from_dense_skips_zeros() {
-        let m = CsrMatrix::from_dense(&[vec![0.0, 1.0], vec![2.0, 0.0]]);
+        let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 2.0)]).unwrap();
         assert_eq!(m.nnz(), 2);
+        assert_eq!(m.get(0, 0), None);
         assert_eq!(m.get(0, 1), Some(1.0));
         assert_eq!(m.get(1, 0), Some(2.0));
     }

@@ -226,7 +226,7 @@ impl<'a> Fiber<'a> {
     /// which also serves non-x86_64 targets and the `TAILORS_SIMD=off`
     /// override. Dispatch is bit-invisible: every kernel produces the
     /// exact match count, and `scanned` is always reconstructed through
-    /// the same [`merge_endpoints`] rank query, so the returned pair
+    /// the same `merge_endpoints` rank query, so the returned pair
     /// never depends on which kernel ran (the property tests pin both
     /// paths to [`Fiber::intersect_counted_linear`]).
     pub fn intersect_counted_blocked(&self, other: &Fiber<'_>) -> (usize, usize) {

@@ -12,9 +12,10 @@
 //! touched-coordinate list. [`spmspm_into`] exposes the allocation-reusing
 //! entry point; [`SpmspmScratch`] carries the scratch between calls.
 //!
-//! The seed's hash-accumulator kernel lives on in [`reference`] — it is the
-//! obviously-correct ground truth the property tests and benchmarks compare
-//! against, never the kernel anything hot calls.
+//! The seed's hash-accumulator kernel lives on in
+//! [`reference`](mod@reference) — it is the obviously-correct ground truth
+//! the property tests and benchmarks compare against, never the kernel
+//! anything hot calls.
 
 use crate::{CsrMatrix, TensorError};
 

@@ -43,7 +43,7 @@
 //!
 //! # Kernel shape
 //!
-//! **AVX2 rotation-compare merge** ([`matches_avx2`]): load 8
+//! **AVX2 rotation-compare merge** (`matches_avx2`): load 8
 //! coordinates from each stream; compare the `a` vector against all 8
 //! lane-rotations of the `b` vector (`vpermd` by 8 precomputed,
 //! mutually independent index vectors — not a chained rotate, which

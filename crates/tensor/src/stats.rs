@@ -144,18 +144,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Cumulative per-bin fraction (a CDF; final entry is 1 when non-empty).
-    pub fn cumulative_fractions(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        self.fractions()
-            .into_iter()
-            .map(|f| {
-                acc += f;
-                acc
-            })
-            .collect()
-    }
-
     /// Iterates over `(bin_start, count)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
@@ -175,23 +163,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     }
     let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
     Some((log_sum / values.len() as f64).exp())
-}
-
-/// Mean absolute error between paired observations, in the same units as the
-/// inputs. Used for Swiftiles' overbooking-rate accuracy (Figs. 11-12).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mean_absolute_error(observed: &[f64], target: &[f64]) -> f64 {
-    assert_eq!(observed.len(), target.len(), "paired slices must match");
-    assert!(!observed.is_empty(), "MAE of empty slices");
-    observed
-        .iter()
-        .zip(target)
-        .map(|(o, t)| (o - t).abs())
-        .sum::<f64>()
-        / observed.len() as f64
 }
 
 /// Mean absolute error against a scalar target.
@@ -271,8 +242,6 @@ mod tests {
         assert_eq!(h.counts().iter().sum::<u64>(), samples.len() as u64);
         let f = h.fractions();
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        let cdf = h.cumulative_fractions();
-        assert!((cdf.last().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -295,7 +264,6 @@ mod tests {
 
     #[test]
     fn mae_metrics() {
-        assert!((mean_absolute_error(&[1.0, 2.0], &[2.0, 0.0]) - 1.5).abs() < 1e-12);
         assert!((mae_to_target(&[8.0, 12.0], 10.0) - 2.0).abs() < 1e-12);
     }
 

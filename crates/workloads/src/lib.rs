@@ -122,12 +122,6 @@ impl Workload {
     pub fn generate(&self) -> CsrMatrix {
         self.gen_spec().generate()
     }
-
-    /// Sparsity implied by the target nnz (matches
-    /// [`Workload::paper_sparsity`] up to rounding in Table 2).
-    pub fn target_sparsity(&self) -> f64 {
-        1.0 - self.target_nnz as f64 / (self.nrows as f64 * self.ncols as f64)
-    }
 }
 
 /// Builds one Table 2 entry; nnz is derived from the printed sparsity.
@@ -223,7 +217,7 @@ mod tests {
     #[test]
     fn nnz_matches_table2_sparsity() {
         for w in suite() {
-            let implied = w.target_sparsity();
+            let implied = 1.0 - w.target_nnz as f64 / (w.nrows as f64 * w.ncols as f64);
             assert!(
                 (implied - w.paper_sparsity).abs() < 1e-6,
                 "{}: implied sparsity {implied} vs paper {}",
