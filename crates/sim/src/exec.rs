@@ -38,12 +38,15 @@ const SLOT_BYTES: u64 = core::mem::size_of::<f64>() as u64;
 
 /// A per-thread scratch-memory budget in bytes.
 ///
-/// `Unbounded` reproduces the historical behaviour (one block spanning all
-/// columns). [`Knobs`](crate::Knobs) resolves the `--mem-budget` knob
-/// through [`MemBudget::parse`].
+/// `Unbounded` plans one block spanning all columns. The plan's
+/// `block_cols` is an upper bound on the scratch, not what the functional
+/// engine allocates: its panels pipeline executes one streamed tile per
+/// block under every budget (see [`crate::functional`]).
+/// [`Knobs`](crate::Knobs) resolves the `--mem-budget` knob through
+/// [`MemBudget::parse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemBudget {
-    /// No limit: the scratch spans every column of the output.
+    /// No limit: the plan's one block spans every column of the output.
     #[default]
     Unbounded,
     /// At most this many bytes of dense scratch per worker thread.
@@ -276,7 +279,9 @@ pub struct ScratchStats {
     pub col_blocks: usize,
     /// Columns per (non-ragged) block.
     pub block_cols: usize,
-    /// Dense-scratch bytes one worker thread allocates.
+    /// Dense-scratch bytes of one planned block per worker thread: the
+    /// bound checked against the budget. The functional engine's panels
+    /// mode allocates one streamed tile's worth, never more than this.
     pub bytes_per_thread: u64,
     /// Whether the scratch honours the budget (false only when the budget
     /// is smaller than a single `rows × cols_b` tile, the minimum unit).
@@ -432,8 +437,8 @@ impl ExecutionPlan {
         (self.block_tiles * self.cols_b).min(self.ncols)
     }
 
-    /// Dense-scratch slots one worker thread needs: full-panel rows × the
-    /// widest block.
+    /// Dense-scratch slots of the plan's widest unit: full-panel rows × the
+    /// widest block (an upper bound on what an engine thread allocates).
     pub fn scratch_elems(&self) -> u64 {
         let panel_rows = self.rows_a.min(self.nrows).max(1) as u64;
         panel_rows * self.block_cols() as u64
@@ -512,6 +517,23 @@ impl ExecutionPlan {
             rows: self.panel_rows(pi),
             cols,
             tiles,
+        }
+    }
+
+    /// The plan the functional engine executes for this one under `grid`.
+    /// [`GridMode::Panels`] narrows every column block to one streamed
+    /// tile: all blocks of a panel share its buffer driver, so block width
+    /// changes neither results nor traffic, only the scratch, which drops
+    /// to `rows_a × cols_b` (never more than this plan's). Under
+    /// [`GridMode::Grid2D`] each block is a work item with a private
+    /// driver and its own traffic account, so the plan runs as given.
+    pub fn executed(&self, grid: GridMode) -> ExecutionPlan {
+        match grid {
+            GridMode::Panels => ExecutionPlan {
+                block_tiles: 1,
+                ..*self
+            },
+            GridMode::Grid2D => *self,
         }
     }
 

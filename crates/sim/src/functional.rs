@@ -27,15 +27,25 @@
 //!
 //! # Memory governance
 //!
-//! The per-panel scratch is governed by an [`ExecutionPlan`]: under a
-//! finite [`MemBudget`] the panel's streamed tiles are grouped into
-//! *column blocks* and the scratch spans `rows_a × block_cols` instead of
-//! `rows_a × ncols`. A block is a run of whole B tiles traversed in the
-//! same global order, every output coordinate is owned by exactly one
-//! block, and a panel's blocks are extracted and merged in column order —
-//! so the budgeted run is bit-identical to the unbudgeted one in every
-//! reported field, and large column counts become feasible (the scratch
-//! no longer scales with `ncols`).
+//! The per-thread scratch is governed by an [`ExecutionPlan`], which
+//! groups each panel's streamed tiles into *column blocks* so that
+//! `rows_a × block_cols` fits the [`MemBudget`] (one block spanning every
+//! column when unbounded). The plan's `block_cols` is an upper bound, not
+//! what the engine allocates: the panels pipeline ([`run_with_threads`]
+//! in [`GridMode::Panels`], and [`run_spilled`]) executes **one streamed
+//! tile per block** under every budget, so its scratch is
+//! `rows_a × cols_b` and never scales with `ncols`. A single tile is the
+//! minimum schedulable unit, so every budget is still honoured;
+//! [`ExecutionPlan::executed`] names the plan a run executes. A block is
+//! a run of whole B tiles traversed in the same global order, every
+//! output coordinate is owned by exactly one block, and a panel's blocks
+//! are extracted and merged in column order — so the result is
+//! bit-identical for every budget in every reported field.
+//!
+//! Each unit's SPA is checked out of the worker's scratch pool at the
+//! unit's exact `rows × width`, and the pool retains idle SPAs up to the
+//! budget, so a warm worker recycles them instead of faulting fresh
+//! pages in per panel.
 //!
 //! # Grid parallelism and per-block traffic accounting
 //!
@@ -75,7 +85,7 @@
 //!
 //! The panel pipeline is written once, generic over where the operands
 //! live (a private `Operand` seam): validation, costing, the panel and
-//! block loops, kernel dispatch, the output sinks and the stitch are
+//! block loops, kernel dispatch, the output staging and the stitch are
 //! shared. The operand home only answers "page in stationary panel
 //! `[m0, m1)`" and "`B` row `k` inside streamed tile `tj`":
 //!
@@ -95,7 +105,7 @@ use std::sync::Arc;
 use tailors_eddo::{Buffet, EddoError, Tailor, TailorConfig};
 use tailors_tensor::ops::BlockedSpa;
 use tailors_tensor::storage::{
-    MmapStorage, PanelBuffers, PoolHandle, PoolStats, ScratchPool, ShapeClass, SpillTile,
+    MmapStorage, PanelBuffers, PoolHandle, PoolStats, ScratchPool, SpillTile,
 };
 use tailors_tensor::{CooMatrix, CsrMatrix, TileColPtr};
 
@@ -340,10 +350,6 @@ type Elem = (u32, u32, f64);
 ///
 /// # Errors
 ///
-/// Propagates buffer-protocol errors (none occur for well-formed input).
-///
-/// # Errors
-///
 /// [`EngineError::Config`] if `a` is not square or the configuration is
 /// degenerate (`capacity == 0`, `rows_a == 0`, or `cols_b == 0`);
 /// [`EngineError::Buffer`] for buffer-protocol errors, including an
@@ -375,9 +381,10 @@ pub fn run_with_threads(
 }
 
 /// The panels-mode pipeline over any operand home: one work item per row
-/// panel, all blocks of a panel sharing its buffer driver, panels stitched
-/// in order into one `n × n` CSR output. [`run_with_threads`] runs it over
-/// a [`Resident`] matrix and [`run_spilled`] over an [`MmapStorage`].
+/// panel, all (tile-wide) blocks of a panel sharing its buffer driver,
+/// panels stitched in order into one `n × n` CSR output.
+/// [`run_with_threads`] runs it over a [`Resident`] matrix and
+/// [`run_spilled`] over an [`MmapStorage`].
 fn run_panels<O: Operand>(
     op: &O,
     config: &FunctionalConfig,
@@ -385,6 +392,7 @@ fn run_panels<O: Operand>(
     n: usize,
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
+    let plan = &plan.executed(GridMode::Panels);
     let n_a_tiles = plan.n_row_panels();
 
     // Streamed-operand traffic: every A tile streams all of B exactly once
@@ -651,52 +659,30 @@ fn run_block_dispatch<O: Operand>(
     spa: &mut BlockedSpa,
     driver: &mut TileDriver<PanelElems<'_>>,
     unit: &PlanUnit,
-    sink: BlockSink<'_>,
+    out: &mut PanelBuffers,
+    staged: bool,
 ) -> Result<(), EngineError> {
     if dense_kernel_for(op, unit) {
-        run_block(&mut DenseMode(spa), driver, op, unit, sink)
+        run_block(&mut DenseMode(spa), driver, op, unit, out, staged)
     } else {
-        run_block(spa, driver, op, unit, sink)
-    }
-}
-
-/// Where [`run_block`] extracts its rows to: per-row staging (a panel
-/// with several blocks, merged at the end) or straight into the flat
-/// output (single-block panels and 2-D grid units).
-enum BlockSink<'a> {
-    Staged(&'a mut [(Vec<u32>, Vec<f64>)]),
-    Direct {
-        row_lens: &'a mut Vec<usize>,
-        cols: &'a mut Vec<u32>,
-        vals: &'a mut Vec<f64>,
-    },
-}
-
-impl<'a> BlockSink<'a> {
-    /// The sink of a panel's assembly buffers: staged rows when the panel
-    /// has several blocks, the flat output otherwise.
-    fn of(out: &'a mut PanelBuffers, staged_rows: Option<usize>) -> Self {
-        match staged_rows {
-            Some(rows) => BlockSink::Staged(&mut out.staged[..rows]),
-            None => BlockSink::Direct {
-                row_lens: &mut out.row_lens,
-                cols: &mut out.cols,
-                vals: &mut out.vals,
-            },
-        }
+        run_block(spa, driver, op, unit, out, staged)
     }
 }
 
 /// Executes one column block of a stationary panel: shapes `spa` to the
 /// unit, runs all its tile traversals through `driver`, and drains every
-/// row into `sink`. Generic over the accumulator kernel — the caller
-/// picks the masked or dense mode per unit via [`dense_kernel_for`].
+/// row into `out` — its block-major staging when `staged` (a panel with
+/// several blocks, merged at the end), else straight into the flat output
+/// (single-block panels and 2-D grid units). Generic over the accumulator
+/// kernel — the caller picks the masked or dense mode per unit via
+/// [`dense_kernel_for`].
 fn run_block<O: Operand, A: UnitSpa>(
     spa: &mut A,
     driver: &mut TileDriver<PanelElems<'_>>,
     op: &O,
     unit: &PlanUnit,
-    sink: BlockSink<'_>,
+    out: &mut PanelBuffers,
+    staged: bool,
 ) -> Result<(), EngineError> {
     let (m0, c0) = (unit.rows.start, unit.cols.start);
     spa.reset_shape(unit.rows.len(), unit.cols.len());
@@ -709,23 +695,19 @@ fn run_block<O: Operand, A: UnitSpa>(
     }
     // Extract in row order; blocks own disjoint column ranges and run
     // left to right, so per-row concatenation preserves sorted order.
-    match sink {
-        BlockSink::Staged(staged) => {
-            for (lr, (row_cols, row_vals)) in staged.iter_mut().enumerate() {
-                spa.drain_row(lr, c0 as u32, row_cols, row_vals);
-            }
-        }
-        BlockSink::Direct {
-            row_lens,
-            cols,
-            vals,
-        } => {
-            for lr in 0..unit.rows.len() {
-                let before = cols.len();
-                spa.drain_row(lr, c0 as u32, cols, vals);
-                row_lens.push(cols.len() - before);
-            }
-        }
+    let (row_lens, cols, vals) = if staged {
+        (
+            &mut out.staged_lens,
+            &mut out.staged_cols,
+            &mut out.staged_vals,
+        )
+    } else {
+        (&mut out.row_lens, &mut out.cols, &mut out.vals)
+    };
+    for lr in 0..unit.rows.len() {
+        let before = cols.len();
+        spa.drain_row(lr, c0 as u32, cols, vals);
+        row_lens.push(cols.len() - before);
     }
     Ok(())
 }
@@ -753,10 +735,11 @@ fn traverse_tile<O: Operand, A: UnitSpa>(
     Ok(())
 }
 
-/// Executes all B-tile traversals for stationary panel `ti`, one plan
-/// column block at a time (all blocks share the panel's buffer driver, so
-/// traversal order — and therefore every DRAM fetch count — is identical
-/// for every memory budget). Each block runs on the accumulator kernel
+/// Executes all B-tile traversals for stationary panel `ti`, one column
+/// block of the executed (tile-wide) plan at a time. All blocks share the
+/// panel's buffer driver, so traversal order — and therefore every DRAM
+/// fetch count — is identical for every block width. Each block runs on
+/// the accumulator kernel
 /// [`dense_kernel_for`] picks: the bitmask-blocked scratch in the sparse
 /// regime, the plain dense one when the block is predicted to fill.
 fn run_panel<O: Operand>(
@@ -769,31 +752,26 @@ fn run_panel<O: Operand>(
     let panel_rows = rows.len();
     op.with_panel(rows.start, rows.end, |tile| {
         let overbooked = tile.len() > config.capacity;
-        // SPA scratch spanning the panel's output rows × one plan column
-        // block, and the panel's assembly buffers — both checked out of the
-        // worker's scratch pool by shape class, so steady-state runs on warm
-        // threads allocate nothing here. Extraction restores the SPA's
-        // all-zero invariant as it goes.
-        let class = ShapeClass::of(panel_rows, plan.block_cols());
+        // SPA scratch of exactly the panel's output rows × one block, and
+        // the panel's assembly buffers — both checked out of the worker's
+        // scratch pool, so steady-state runs on warm threads allocate
+        // nothing here. Extraction restores the SPA's all-zero invariant
+        // as it goes.
+        let width = plan.block_cols();
         SCRATCH_POOL.with(|pool| {
             pool.set_retention(config.mem_budget.limit_bytes());
-            let mut spa = pool.checkout_spa(class);
-            let mut out = pool.checkout_buffers(class);
+            let mut spa = pool.checkout_spa(panel_rows, width);
+            let mut out = pool.checkout_buffers(panel_rows, width);
 
             let mut driver = TileDriver::new(tile, config)?;
-            // Per-row staging across blocks. A single-block plan (the
-            // unbudgeted default) extracts rows directly into the flat
-            // output instead, skipping the staging copy on the historical
-            // hot path.
-            let staged_rows = (plan.n_col_blocks() > 1).then_some(panel_rows);
-            if staged_rows.is_some() {
-                out.ensure_staged_rows(panel_rows);
-            }
+            // Block-major staging across blocks. A panel covered by one
+            // tile extracts rows directly into the flat output instead,
+            // skipping the staging copy.
+            let staged = plan.n_col_blocks() > 1;
             for unit in plan.panel_units(ti) {
-                let sink = BlockSink::of(&mut out, staged_rows);
-                run_block_dispatch(op, &mut spa, &mut driver, &unit, sink)?;
+                run_block_dispatch(op, &mut spa, &mut driver, &unit, &mut out, staged)?;
             }
-            if staged_rows.is_some() {
+            if staged {
                 merge_staged(&mut out, panel_rows);
             }
 
@@ -806,24 +784,42 @@ fn run_panel<O: Operand>(
     })
 }
 
-/// Concatenates a panel's per-row staged block segments (in row order,
-/// blocks already in column order within each row) into the flat assembly
-/// buffers, draining each staging vector in place so its capacity is
-/// recycled with the pooled buffer set.
+/// Merges a panel's block-major staging into the flat assembly buffers:
+/// each output row is its block segments concatenated in block (column)
+/// order. The staging is cleared in place, so its capacity is recycled
+/// with the pooled buffer set.
 fn merge_staged(out: &mut PanelBuffers, panel_rows: usize) {
     let PanelBuffers {
         row_lens,
         cols,
         vals,
-        staged,
+        staged_lens,
+        staged_cols,
+        staged_vals,
     } = out;
-    for (row_cols, row_vals) in staged[..panel_rows].iter_mut() {
-        row_lens.push(row_cols.len());
-        cols.extend_from_slice(row_cols);
-        vals.extend_from_slice(row_vals);
-        row_cols.clear();
-        row_vals.clear();
+    // Segment lengths (block-major: block b's row lr at b·rows + lr) become
+    // segment start offsets, closed by the total.
+    let mut total = 0;
+    for len in staged_lens.iter_mut() {
+        total += core::mem::replace(len, total);
     }
+    staged_lens.push(total);
+    cols.reserve(total);
+    vals.reserve(total);
+    let n_blocks = (staged_lens.len() - 1) / panel_rows;
+    for lr in 0..panel_rows {
+        let before = cols.len();
+        for b in 0..n_blocks {
+            let i = b * panel_rows + lr;
+            let (lo, hi) = (staged_lens[i], staged_lens[i + 1]);
+            cols.extend_from_slice(&staged_cols[lo..hi]);
+            vals.extend_from_slice(&staged_vals[lo..hi]);
+        }
+        row_lens.push(cols.len() - before);
+    }
+    staged_lens.clear();
+    staged_cols.clear();
+    staged_vals.clear();
 }
 
 /// Executes one (panel × block) unit with a private buffer driver,
@@ -836,17 +832,16 @@ fn run_unit(
     // This unit's share of the streamed operand: the nonzeros of B columns
     // [c0, c1) are the nonzeros of A rows [c0, c1).
     let dram_b = op.row_range_nnz(unit.cols.start, unit.cols.end) as u64;
-    let class = ShapeClass::of(unit.rows.len(), unit.cols.len());
+    let (rows, width) = (unit.rows.len(), unit.cols.len());
     op.with_panel(unit.rows.start, unit.rows.end, |tile| {
         let occ = tile.len() as u64;
         let overbooked = tile.len() > config.capacity;
         SCRATCH_POOL.with(|pool| {
             pool.set_retention(config.mem_budget.limit_bytes());
-            let mut spa = pool.checkout_spa(class);
-            let mut out = pool.checkout_buffers(class);
+            let mut spa = pool.checkout_spa(rows, width);
+            let mut out = pool.checkout_buffers(rows, width);
             let mut driver = TileDriver::new(tile, config)?;
-            let sink = BlockSink::of(&mut out, None);
-            run_block_dispatch(op, &mut spa, &mut driver, unit, sink)?;
+            run_block_dispatch(op, &mut spa, &mut driver, unit, &mut out, false)?;
 
             // The per-block reduction (see the module docs): block 0 is the
             // shared driver's own prefix; later blocks replace their private
@@ -881,7 +876,7 @@ thread_local! {
     /// on the same thread. One SPA serves both dispatch kernels —
     /// [`DenseMode`] is a view over it — so the per-thread footprint
     /// stays within the planner's budget no matter how blocks dispatch;
-    /// retention is re-capped from each run's `MemBudget`.
+    /// idle SPA retention is re-capped from each run's `MemBudget`.
     static SCRATCH_POOL: ScratchPool = ScratchPool::new();
 }
 
@@ -892,6 +887,13 @@ thread_local! {
 /// regression test in `tailors-serve` pins it from the outside.
 pub fn scratch_pool_stats() -> PoolStats {
     SCRATCH_POOL.with(|pool| pool.stats())
+}
+
+/// Counters of the SPA family alone in the **calling thread's** engine
+/// scratch pool: the scratch the [`MemBudget`] governs, whose
+/// `resident_bytes` is what a warm worker keeps between runs.
+pub fn scratch_pool_spa_stats() -> PoolStats {
+    SCRATCH_POOL.with(|pool| pool.spa_stats())
 }
 
 /// Frees the calling thread's idle pooled scratch (outstanding handles
@@ -949,7 +951,7 @@ pub fn run_spilled(
 /// Where the engine's operands live: the one seam between the panel
 /// pipeline and its operand homes. Everything above it — validation,
 /// costing, [`run_panel`], [`run_block_dispatch`]/[`run_block`], the
-/// sinks and the stitch — exists once and is monomorphized per home, so
+/// output staging and the stitch — exists once and is monomorphized per home, so
 /// the resident hot loop compiles to a direct slice walk.
 trait Operand: Sync {
     /// One streamed `B` column tile, held for a traversal.

@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use tailors_sim::functional::{
-    clear_scratch_pool, reference_run, run_spilled, run_with_threads, scratch_pool_stats,
-    ConfigError, EngineError, FunctionalConfig,
+    clear_scratch_pool, reference_run, run_spilled, run_with_threads, scratch_pool_spa_stats,
+    scratch_pool_stats, ConfigError, EngineError, FunctionalConfig,
 };
 use tailors_sim::{GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
@@ -199,14 +199,85 @@ fn warm_pool_serves_repeat_runs_without_misses() {
     assert_eq!(steady.checkouts, steady.hits + steady.misses);
 }
 
-/// A retention cap smaller than any scratch buffer forces the pool to
-/// evict everything at return time — and results still match the seed
-/// engine exactly (eviction only frees memory, never changes behaviour).
+/// A budget the planner sizes exactly — two 40 × 40 tiles' slots — must
+/// not evict the scratch it sized: the SPA fits the budget it was planned
+/// under, and the output buffers are not budgeted at all, so warm repeats
+/// of the run allocate no new pool inventory.
+#[test]
+fn budget_sized_scratch_stays_pooled() {
+    let a = GenSpec::power_law(400, 400, 3_000).seed(7).generate();
+    let cfg = config(64, 25, 40, 40, true, MemBudget::bytes(2 * 40 * 40 * 8));
+
+    let (_lock, _restore) = PoolingGuard::hold();
+    set_pooling(true);
+    clear_scratch_pool();
+    run_with_threads(&a, &cfg, 1).expect("warm-up run");
+    let warm = scratch_pool_stats();
+    for _ in 0..3 {
+        run_with_threads(&a, &cfg, 1).expect("repeat run");
+    }
+    let steady = scratch_pool_stats();
+    assert_eq!(
+        steady.misses - warm.misses,
+        0,
+        "budget-sized scratch was evicted between runs ({} of {} repeat checkouts missed)",
+        steady.misses - warm.misses,
+        steady.checkouts - warm.checkouts,
+    );
+    assert!(steady.checkouts > warm.checkouts);
+}
+
+/// With an unbounded budget on a matrix far wider than one streamed tile,
+/// the SPA scratch a warm worker keeps is one `rows_a × cols_b` unit plus
+/// its occupancy words and touched lists — not a `rows_a × ncols` panel.
+/// The spilled run of the same configuration agrees with the resident run
+/// and the seed engine.
+#[test]
+fn unbounded_panels_scratch_is_one_tile_wide() {
+    let (n, rows_a, cols_b) = (2_000usize, 64usize, 32usize);
+    let a = GenSpec::power_law(n, n, 12_000).seed(4).generate();
+    let cfg = config(256, 25, rows_a, cols_b, true, MemBudget::Unbounded);
+
+    let (_lock, _restore) = PoolingGuard::hold();
+    set_pooling(true);
+    clear_scratch_pool();
+    let resident = run_with_threads(&a, &cfg, 1).expect("resident run");
+    let spa = scratch_pool_spa_stats();
+    let words = cols_b.div_ceil(64);
+    let touched_cap = words.next_power_of_two().max(4);
+    let one_unit = rows_a * cols_b * 8
+        + rows_a * words * 8
+        + rows_a * (std::mem::size_of::<Vec<u32>>() + touched_cap * 4);
+    assert!(spa.resident_bytes > 0, "the SPA must be retained");
+    assert!(
+        spa.resident_bytes <= one_unit as u64,
+        "SPA scratch {} B exceeds one {rows_a} x {cols_b} unit ({one_unit} B); \
+         a {rows_a} x {n} panel would be {} B",
+        spa.resident_bytes,
+        rows_a * n * 8,
+    );
+
+    let path = unique_spill_path("bound");
+    MmapStorage::store(&a, cols_b, &path).expect("store spill file");
+    let store = MmapStorage::open(&path, None).expect("open spill file");
+    let spilled = run_spilled(&store, &cfg, 1).expect("spilled run");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(spilled, resident);
+    let oracle = reference_run(&a, &cfg).expect("seed engine");
+    assert_eq!(resident.z, oracle.z);
+    assert_eq!(resident.dram_a_fetches, oracle.dram_a_fetches);
+    assert_eq!(resident.dram_b_fetches, oracle.dram_b_fetches);
+    assert_eq!(resident.overbooked_a_tiles, oracle.overbooked_a_tiles);
+}
+
+/// A retention cap smaller than any SPA forces the pool to evict every
+/// SPA at return time — and results still match the seed engine exactly
+/// (eviction only frees memory, never changes behaviour).
 #[test]
 fn tight_budget_evicts_pool_inventory_without_changing_results() {
     let a = GenSpec::uniform(48, 48, 300).seed(9).generate();
     // A 1-byte scratch budget: the plan degenerates to single-tile blocks
-    // and the pool can retain nothing.
+    // and the pool can retain no SPA.
     let cfg = config(32, 50, 8, 8, true, MemBudget::bytes(1));
 
     let (_lock, _restore) = PoolingGuard::hold();
@@ -216,7 +287,11 @@ fn tight_budget_evicts_pool_inventory_without_changing_results() {
     let run = run_with_threads(&a, &cfg, 1).expect("tight-budget run");
     let after = scratch_pool_stats();
     assert!(after.evictions > before.evictions, "nothing was evicted");
-    assert_eq!(after.resident_bytes, 0, "cap must hold after the run");
+    assert_eq!(
+        scratch_pool_spa_stats().resident_bytes,
+        0,
+        "cap must hold after the run"
+    );
 
     let oracle = reference_run(&a, &cfg).expect("seed engine");
     assert_eq!(run.z, oracle.z);
@@ -274,8 +349,8 @@ fn corrupt_spill_indices_are_rejected_at_page_in() {
     );
     let tile0_cols_at = tile0_at + (n + 1) * 8;
 
-    // Unbounded budget: one block spans every tile, so a column moved
-    // into tile 1 still fits the block's scratch.
+    // A column moved into tile 1 would fall outside tile 0's block; the
+    // page-in check must reject it before any traversal reads it.
     let cfg = config(32, 50, 8, tile_cols, true, MemBudget::Unbounded);
     for (tag, at, value) in [
         ("a_col_out_of_range", a_cols_at, n as u32),

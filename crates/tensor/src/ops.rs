@@ -73,19 +73,23 @@ impl BlockedSpa {
     }
 
     /// (Re)shapes the accumulator to `rows × width`, growing the backing
-    /// storage as needed (never shrinking). All slots start — and, between
-    /// drains, stay — zero, so reshaping is O(1) beyond first-time growth.
+    /// storage to exactly that size as needed (never shrinking). All slots
+    /// start — and, between drains, stay — zero, so reshaping is O(1)
+    /// beyond first-time growth.
     pub fn reset_shape(&mut self, rows: usize, width: usize) {
+        /// Grows `v` to `len` without the amortized over-allocation of
+        /// `resize`: the scratch is sized to a plan unit, and retention
+        /// accounting charges its capacity.
+        fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+            if v.len() < len {
+                v.reserve_exact(len - v.len());
+                v.resize(len, fill);
+            }
+        }
         let words = width.div_ceil(64);
-        if self.dense.len() < rows * width {
-            self.dense.resize(rows * width, 0.0);
-        }
-        if self.mask.len() < rows * words {
-            self.mask.resize(rows * words, 0);
-        }
-        if self.touched.len() < rows {
-            self.touched.resize(rows, Vec::new());
-        }
+        grow(&mut self.dense, rows * width, 0.0);
+        grow(&mut self.mask, rows * words, 0);
+        grow(&mut self.touched, rows, Vec::new());
         self.rows = rows;
         self.width = width;
         self.words = words;

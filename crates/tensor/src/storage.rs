@@ -6,10 +6,11 @@
 //!
 //! * [`SlabStorage`] — a keyed arena that recycles allocations by
 //!   [`ShapeClass`] (power-of-two buckets of a plan unit's rows × width).
-//!   Checkout pops a warm buffer and [`PoolItem::prepare`]s it; dropping
-//!   the [`PoolHandle`] returns the buffer to its slab. Retained bytes are
-//!   capped by [`SlabStorage::set_retention`], so pooled scratch counts
-//!   against the same memory budget the planner already honors.
+//!   Checkout pops a warm buffer and [`PoolItem::prepare`]s it to the
+//!   unit's exact shape; dropping the [`PoolHandle`] returns the buffer to
+//!   its slab. Retained bytes are capped by [`SlabStorage::set_retention`],
+//!   so pooled scratch counts against the same memory budget the planner
+//!   already honors.
 //! * [`MmapStorage`] — read-only file-backed CSR payloads with
 //!   panel-granular residency: the operand's row pointers stay resident,
 //!   row-panel payloads and column-tile segments of `B = Aᵀ` are paged in
@@ -40,14 +41,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 // Shape classes
 // ---------------------------------------------------------------------------
 
-/// A power-of-two bucket of plan-unit scratch shapes.
+/// A power-of-two bucket of plan-unit scratch shapes: the slab key, not a
+/// size.
 ///
 /// Pool keys must collide across *similar* shapes or a pool serving mixed
 /// workloads retains one buffer per exact shape and recycles nothing.
-/// Bucketing rows and width up to the next power of two bounds internal
-/// waste at 4× slots while collapsing the long tail of near-identical
-/// plan units onto shared slabs. [`PoolItem::prepare`] sizes a buffer for
-/// the *class* bounds, so every later in-shape resize is allocation-free.
+/// Bucketing rows and width up to the next power of two collapses the long
+/// tail of near-identical plan units onto shared slabs. Buffers are still
+/// sized to the shape actually checked out ([`PoolItem::prepare`]), never
+/// to the class bounds: a recycled buffer only grows when a later unit of
+/// its class is larger than any before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShapeClass {
     /// Bucketed row count (power of two, at least 1).
@@ -75,31 +78,45 @@ impl ShapeClass {
 
 /// A buffer a [`SlabStorage`] can recycle.
 pub trait PoolItem: Default + Send + 'static {
-    /// Readies the buffer for a checkout of shape class `class`: clear
-    /// logical contents (keeping capacity) and grow backing storage to the
-    /// class bounds, so subsequent in-shape use allocates nothing.
-    fn prepare(&mut self, class: ShapeClass);
-    /// Heap bytes currently backing the buffer (capacities, not lengths) —
-    /// the coin of slab retention accounting.
+    /// Readies the buffer for a `rows × width` checkout: clear logical
+    /// contents (keeping capacity) and grow backing storage to exactly that
+    /// shape if it is smaller, so in-shape use allocates nothing.
+    fn prepare(&mut self, rows: usize, width: usize);
+    /// Heap bytes currently backing the buffer (capacities, not lengths),
+    /// reported as [`PoolStats::resident_bytes`].
     fn heap_bytes(&self) -> u64;
+    /// The bytes a retention cap charges for keeping the buffer idle: all
+    /// of [`heap_bytes`](PoolItem::heap_bytes) unless the budget the cap
+    /// comes from counts less.
+    fn budgeted_bytes(&self) -> u64 {
+        self.heap_bytes()
+    }
 }
 
 impl PoolItem for BlockedSpa {
-    fn prepare(&mut self, class: ShapeClass) {
-        // Pre-grow to the class bounds; the engine's own `reset_shape`
-        // calls (always ≤ the class by construction) then never allocate.
-        self.reset_shape(class.rows as usize, class.width as usize);
+    fn prepare(&mut self, rows: usize, width: usize) {
+        // Grow to the unit's own shape; the engine's `reset_shape` calls
+        // for the unit's blocks (never wider or taller) then never allocate.
+        self.reset_shape(rows, width);
     }
 
     fn heap_bytes(&self) -> u64 {
         self.heap_bytes()
     }
+
+    /// Only the dense slots, as the planner's budget counts them
+    /// (`scratch_bytes` is 8 bytes per slot): the occupancy words and
+    /// touched lists beside them must not push a SPA sized exactly to the
+    /// budget over it.
+    fn budgeted_bytes(&self) -> u64 {
+        self.capacity_slots() as u64 * 8
+    }
 }
 
 /// The per-panel output-assembly buffers the engine used to allocate
 /// fresh each panel: per-row lengths, the panel's concatenated
-/// column/value triplets, and the per-row staging vectors multi-block
-/// units drain into before the in-order merge.
+/// column/value triplets, and the block-major staging multi-block panels
+/// drain into before the in-order merge.
 ///
 /// Pooled as one unit because they live and die together: a panel checks
 /// the whole set out, fills it, and the stitch releases it back to the
@@ -112,45 +129,30 @@ pub struct PanelBuffers {
     pub cols: Vec<u32>,
     /// Concatenated output values for the panel.
     pub vals: Vec<f64>,
-    /// Per-row staging (cols, vals) pairs for multi-block merges. Grown by
-    /// [`PanelBuffers::ensure_staged_rows`], never shrunk, so inner
-    /// capacities survive recycling.
-    pub staged: Vec<(Vec<u32>, Vec<f64>)>,
-}
-
-impl PanelBuffers {
-    /// Ensures at least `n` staging rows exist (growing, never shrinking,
-    /// so recycled inner capacities are preserved).
-    pub fn ensure_staged_rows(&mut self, n: usize) {
-        if self.staged.len() < n {
-            self.staged.resize_with(n, Default::default);
-        }
-    }
+    /// Staged row lengths of a multi-block panel, block-major: block `b`'s
+    /// row `r` is entry `b · rows + r`.
+    pub staged_lens: Vec<usize>,
+    /// Staged column indices, every block's rows back to back.
+    pub staged_cols: Vec<u32>,
+    /// Staged values, parallel to `staged_cols`.
+    pub staged_vals: Vec<f64>,
 }
 
 impl PoolItem for PanelBuffers {
-    fn prepare(&mut self, class: ShapeClass) {
+    fn prepare(&mut self, rows: usize, _width: usize) {
         self.row_lens.clear();
         self.cols.clear();
         self.vals.clear();
-        for (c, v) in &mut self.staged {
-            c.clear();
-            v.clear();
-        }
-        self.row_lens.reserve(class.rows as usize);
+        self.staged_lens.clear();
+        self.staged_cols.clear();
+        self.staged_vals.clear();
+        self.row_lens.reserve(rows);
     }
 
     fn heap_bytes(&self) -> u64 {
-        let staged: usize = self
-            .staged
-            .iter()
-            .map(|(c, v)| c.capacity() * 4 + v.capacity() * 8)
-            .sum();
-        (self.row_lens.capacity() * core::mem::size_of::<usize>()
-            + self.cols.capacity() * 4
-            + self.vals.capacity() * 8
-            + self.staged.capacity() * core::mem::size_of::<(Vec<u32>, Vec<f64>)>()
-            + staged) as u64
+        ((self.row_lens.capacity() + self.staged_lens.capacity()) * core::mem::size_of::<usize>()
+            + (self.cols.capacity() + self.staged_cols.capacity()) * 4
+            + (self.vals.capacity() + self.staged_vals.capacity()) * 8) as u64
     }
 }
 
@@ -216,7 +218,9 @@ struct SlabState<T> {
     /// Idle inventory by shape class. Invariant: no empty buckets.
     /// `BTreeMap` so eviction order (largest class first) is deterministic.
     by_class: BTreeMap<ShapeClass, Vec<T>>,
-    resident_bytes: u64,
+    /// [`PoolItem::budgeted_bytes`] of the idle inventory: what the
+    /// retention cap is checked against.
+    charged_bytes: u64,
     retain: Option<u64>,
     stats: PoolStats,
 }
@@ -225,7 +229,7 @@ impl<T> Default for SlabState<T> {
     fn default() -> Self {
         Self {
             by_class: BTreeMap::new(),
-            resident_bytes: 0,
+            charged_bytes: 0,
             retain: None,
             stats: PoolStats::default(),
         }
@@ -255,29 +259,33 @@ impl<T: PoolItem> SlabStorage<T> {
         Self::default()
     }
 
-    /// Checks a buffer of class `class` out of the slab (recycling idle
-    /// inventory when available), prepared per [`PoolItem::prepare`].
-    pub fn checkout(&self, class: ShapeClass) -> PoolHandle<T> {
-        let mut item = {
+    /// Checks a buffer for a `rows × width` unit out of the slab, prepared
+    /// per [`PoolItem::prepare`]. Idle inventory of the unit's own
+    /// [`ShapeClass`] is recycled first, then the smallest idle class that
+    /// covers it in both dimensions — so a ragged last panel reuses its
+    /// full-height sibling's buffer instead of allocating its own.
+    pub fn checkout(&self, rows: usize, width: usize) -> PoolHandle<T> {
+        let want = ShapeClass::of(rows, width);
+        let (mut item, class) = {
             let mut st = lock_state(&self.state);
             st.stats.checkouts += 1;
-            match st.by_class.get_mut(&class).and_then(Vec::pop) {
-                Some(item) => {
-                    if st.by_class.get(&class).is_some_and(Vec::is_empty) {
-                        st.by_class.remove(&class);
-                    }
+            let covering = st
+                .by_class
+                .range(want..)
+                .map(|(&class, _)| class)
+                .find(|class| class.width >= want.width);
+            match covering.and_then(|class| take_idle(&mut st, class).map(|item| (item, class))) {
+                Some(found) => {
                     st.stats.hits += 1;
-                    st.resident_bytes -= item.heap_bytes();
-                    st.stats.resident_bytes = st.resident_bytes;
-                    item
+                    found
                 }
                 None => {
                     st.stats.misses += 1;
-                    T::default()
+                    (T::default(), want)
                 }
             }
         };
-        item.prepare(class);
+        item.prepare(rows, width);
         PoolHandle {
             item: Some(item),
             class,
@@ -285,8 +293,9 @@ impl<T: PoolItem> SlabStorage<T> {
         }
     }
 
-    /// Caps the bytes idle inventory may hold; `None` is unbounded.
-    /// Enforced at return time, evicting largest-class buffers first.
+    /// Caps the [`PoolItem::budgeted_bytes`] idle inventory may hold;
+    /// `None` is unbounded. Enforced at return time, evicting largest-class
+    /// buffers first.
     pub fn set_retention(&self, cap: Option<u64>) {
         let mut st = lock_state(&self.state);
         st.retain = cap;
@@ -303,36 +312,37 @@ impl<T: PoolItem> SlabStorage<T> {
     pub fn clear(&self) {
         let mut st = lock_state(&self.state);
         st.by_class.clear();
-        st.resident_bytes = 0;
+        st.charged_bytes = 0;
         st.stats.resident_bytes = 0;
     }
 }
 
+/// Pops one idle buffer of `class`, keeping the no-empty-bucket invariant
+/// and the byte counts.
+fn take_idle<T: PoolItem>(st: &mut SlabState<T>, class: ShapeClass) -> Option<T> {
+    let bucket = st.by_class.get_mut(&class)?;
+    let item = bucket.pop();
+    if bucket.is_empty() {
+        st.by_class.remove(&class);
+    }
+    let item = item?;
+    st.charged_bytes -= item.budgeted_bytes();
+    st.stats.resident_bytes -= item.heap_bytes();
+    Some(item)
+}
+
 fn evict_over_cap<T: PoolItem>(st: &mut SlabState<T>) {
-    st.stats.resident_bytes = st.resident_bytes;
-    let cap = match st.retain {
-        Some(cap) => cap,
-        None => return,
+    let Some(cap) = st.retain else {
+        return;
     };
-    while st.resident_bytes > cap {
-        let class = match st.by_class.iter().next_back() {
-            Some((&class, _)) => class,
-            None => break,
+    while st.charged_bytes > cap {
+        let Some(class) = st.by_class.keys().next_back().copied() else {
+            break;
         };
-        match st.by_class.get_mut(&class).and_then(Vec::pop) {
-            Some(victim) => {
-                st.resident_bytes -= victim.heap_bytes();
-                st.stats.evictions += 1;
-                if st.by_class.get(&class).is_some_and(Vec::is_empty) {
-                    st.by_class.remove(&class);
-                }
-            }
-            None => {
-                st.by_class.remove(&class);
-            }
+        if take_idle(st, class).is_some() {
+            st.stats.evictions += 1;
         }
     }
-    st.stats.resident_bytes = st.resident_bytes;
 }
 
 /// An owned, prepared buffer checked out of a [`SlabStorage`] (or
@@ -347,21 +357,16 @@ pub struct PoolHandle<T: PoolItem> {
 }
 
 impl<T: PoolItem> PoolHandle<T> {
-    /// A slab-less handle: a fresh prepared buffer, freed on drop — the
-    /// pooling-disabled fallback.
-    pub fn detached(class: ShapeClass) -> Self {
+    /// A slab-less handle: a fresh buffer prepared for a `rows × width`
+    /// unit, freed on drop — the pooling-disabled fallback.
+    pub fn detached(rows: usize, width: usize) -> Self {
         let mut item = T::default();
-        item.prepare(class);
+        item.prepare(rows, width);
         Self {
             item: Some(item),
-            class,
+            class: ShapeClass::of(rows, width),
             home: None,
         }
-    }
-
-    /// The shape class this handle was checked out with.
-    pub fn class(&self) -> ShapeClass {
-        self.class
     }
 }
 
@@ -384,7 +389,8 @@ impl<T: PoolItem> Drop for PoolHandle<T> {
         if let (Some(item), Some(home)) = (item, home) {
             let mut st = lock_state(&home);
             st.stats.returns += 1;
-            st.resident_bytes += item.heap_bytes();
+            st.charged_bytes += item.budgeted_bytes();
+            st.stats.resident_bytes += item.heap_bytes();
             st.by_class.entry(self.class).or_default().push(item);
             evict_over_cap(&mut st);
         }
@@ -417,30 +423,38 @@ impl ScratchPool {
         Self::default()
     }
 
-    /// Checks out a SPA accumulator for a `class`-shaped plan unit.
-    pub fn checkout_spa(&self, class: ShapeClass) -> PoolHandle<BlockedSpa> {
+    /// Checks out a SPA accumulator sized to a `rows × width` plan unit.
+    pub fn checkout_spa(&self, rows: usize, width: usize) -> PoolHandle<BlockedSpa> {
         if pooling_enabled() {
-            self.spa.checkout(class)
+            self.spa.checkout(rows, width)
         } else {
-            PoolHandle::detached(class)
+            PoolHandle::detached(rows, width)
         }
     }
 
-    /// Checks out the panel output-assembly buffer set.
-    pub fn checkout_buffers(&self, class: ShapeClass) -> PoolHandle<PanelBuffers> {
+    /// Checks out the panel output-assembly buffer set for a `rows`-row
+    /// unit `width` columns wide.
+    pub fn checkout_buffers(&self, rows: usize, width: usize) -> PoolHandle<PanelBuffers> {
         if pooling_enabled() {
-            self.bufs.checkout(class)
+            self.bufs.checkout(rows, width)
         } else {
-            PoolHandle::detached(class)
+            PoolHandle::detached(rows, width)
         }
     }
 
-    /// Caps idle bytes retained *per family* (`None` is unbounded). The
+    /// Caps the idle bytes of the SPA family (`None` is unbounded). The
     /// engine passes its `MemBudget` limit through here, so pooled scratch
-    /// answers to the same budget the planner sized the working sets for.
+    /// answers to the same budget the planner sized it against. Only the
+    /// SPAs are capped, because only they are budgeted: the output-assembly
+    /// buffers hold a run's result, which no budget bounds, so capping them
+    /// would only evict what the next run must allocate again.
     pub fn set_retention(&self, cap: Option<u64>) {
         self.spa.set_retention(cap);
-        self.bufs.set_retention(cap);
+    }
+
+    /// Counters of the SPA family alone (the scratch the budget governs).
+    pub fn spa_stats(&self) -> PoolStats {
+        self.spa.stats()
     }
 
     /// Merged counters across both families.
@@ -959,9 +973,8 @@ mod tests {
     #[test]
     fn slab_recycles_by_class() {
         let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
-        let class = ShapeClass::of(16, 200);
         {
-            let mut spa = slab.checkout(class);
+            let mut spa = slab.checkout(16, 200);
             spa.accumulate(3, 17, 1.0);
             let (mut c, mut v) = (Vec::new(), Vec::new());
             spa.drain_row(3, 0, &mut c, &mut v);
@@ -970,9 +983,9 @@ mod tests {
         assert_eq!((stats.checkouts, stats.misses, stats.returns), (1, 1, 1));
         assert!(stats.resident_bytes > 0);
         {
-            let spa = slab.checkout(class);
-            // Recycled: already grown to the class bounds.
-            assert!(spa.capacity_slots() >= 16 * 200);
+            let spa = slab.checkout(16, 200);
+            // Recycled: already grown to the shape, and no further.
+            assert_eq!(spa.capacity_slots(), 16 * 200);
         }
         let stats = slab.stats();
         assert_eq!((stats.checkouts, stats.hits), (2, 1));
@@ -981,15 +994,14 @@ mod tests {
     #[test]
     fn returned_spa_is_prepared_clear_on_next_checkout() {
         let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
-        let class = ShapeClass::of(4, 64);
         {
-            let mut spa = slab.checkout(class);
+            let mut spa = slab.checkout(4, 64);
             spa.accumulate(0, 1, 2.0);
             let (mut c, mut v) = (Vec::new(), Vec::new());
             spa.drain_row(0, 0, &mut c, &mut v);
             assert_eq!((c, v), (vec![1], vec![2.0]));
         }
-        let mut spa = slab.checkout(class);
+        let mut spa = slab.checkout(4, 64);
         assert!(spa.is_clear());
         spa.accumulate(0, 1, 5.0);
         let (mut c, mut v) = (Vec::new(), Vec::new());
@@ -1002,41 +1014,91 @@ mod tests {
         let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
         slab.set_retention(Some(0));
         {
-            let _spa = slab.checkout(ShapeClass::of(8, 512));
+            let _spa = slab.checkout(8, 512);
         }
         let stats = slab.stats();
         assert_eq!(stats.returns, 1);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.resident_bytes, 0);
         // Next checkout misses again: nothing was retained.
-        let _spa = slab.checkout(ShapeClass::of(8, 512));
+        drop(slab.checkout(8, 512));
         assert_eq!(slab.stats().misses, 2);
+        // A cap of exactly the SPA's dense slots keeps it, although its
+        // occupancy words and touched lists take it past the cap.
+        slab.set_retention(Some(8 * 512 * 8));
+        drop(slab.checkout(8, 512));
+        let stats = slab.stats();
+        assert_eq!((stats.misses, stats.evictions), (3, 2));
+        assert!(stats.resident_bytes > 8 * 512 * 8);
+        drop(slab.checkout(8, 512));
+        assert_eq!(slab.stats().hits, 1);
+    }
+
+    #[test]
+    fn checkout_sizes_to_the_shape_and_reuses_a_covering_class() {
+        let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
+        {
+            let spa = slab.checkout(40, 40);
+            // Exactly the unit, not its 64 × 64 class bounds.
+            assert_eq!(spa.capacity_slots(), 40 * 40);
+            assert_eq!(spa.heap_bytes(), 40 * 40 * 8 + 40 * 8 + 40 * 24);
+        }
+        {
+            // A ragged 17-row unit (class 32 × 64) reuses the idle 40-row
+            // buffer rather than allocating one of its own.
+            let spa = slab.checkout(17, 40);
+            assert_eq!(spa.capacity_slots(), 40 * 40);
+        }
+        let stats = slab.stats();
+        assert_eq!((stats.checkouts, stats.hits, stats.misses), (2, 1, 1));
+        // A wider unit is not covered by a narrower class: a fresh buffer.
+        let _wide = slab.checkout(8, 100);
+        assert_eq!(slab.stats().misses, 2);
+    }
+
+    /// Serializes the tests that toggle the process-wide pooling switch.
+    static POOL_TOGGLE: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn scratch_pool_caps_only_the_spa_family() {
+        let _lock = POOL_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let pool = ScratchPool::new();
+        let was = pooling_enabled();
+        set_pooling(true);
+        pool.set_retention(Some(0));
+        {
+            let _spa = pool.checkout_spa(8, 64);
+            let mut bufs = pool.checkout_buffers(8, 64);
+            bufs.cols.extend_from_slice(&[1, 2, 3]);
+        }
+        set_pooling(was);
+        let spa = pool.spa_stats();
+        assert_eq!((spa.evictions, spa.resident_bytes), (1, 0));
+        let all = pool.stats();
+        assert_eq!(all.evictions, 1, "output buffers are not budgeted");
+        assert!(all.resident_bytes > 0);
     }
 
     #[test]
     fn panel_buffers_recycle_staged_capacity() {
         let slab: SlabStorage<PanelBuffers> = SlabStorage::new();
-        let class = ShapeClass::of(8, 64);
-        let caps: Vec<usize> = {
-            let mut bufs = slab.checkout(class);
-            bufs.ensure_staged_rows(8);
-            for (c, v) in &mut bufs.staged {
-                c.extend_from_slice(&[1, 2, 3]);
-                v.extend_from_slice(&[1.0, 2.0, 3.0]);
-            }
-            bufs.staged.iter().map(|(c, _)| c.capacity()).collect()
+        let caps = {
+            let mut bufs = slab.checkout(8, 64);
+            bufs.staged_lens.extend_from_slice(&[3; 8]);
+            bufs.staged_cols.extend_from_slice(&[1; 24]);
+            bufs.staged_vals.extend_from_slice(&[1.0; 24]);
+            (bufs.staged_cols.capacity(), bufs.staged_vals.capacity())
         };
-        let bufs = slab.checkout(class);
-        assert_eq!(bufs.staged.len(), 8);
-        for ((c, v), cap) in bufs.staged.iter().zip(&caps) {
-            assert!(c.is_empty() && v.is_empty());
-            assert!(c.capacity() >= *cap);
-        }
+        let bufs = slab.checkout(8, 64);
+        assert!(bufs.staged_lens.is_empty());
+        assert!(bufs.staged_cols.is_empty() && bufs.staged_vals.is_empty());
+        assert!(bufs.staged_cols.capacity() >= caps.0);
+        assert!(bufs.staged_vals.capacity() >= caps.1);
     }
 
     #[test]
     fn detached_handles_skip_the_slab() {
-        let mut h: PoolHandle<BlockedSpa> = PoolHandle::detached(ShapeClass::of(2, 64));
+        let mut h: PoolHandle<BlockedSpa> = PoolHandle::detached(2, 64);
         h.accumulate(0, 0, 1.0);
         drop(h); // frees, nothing to assert beyond "no panic"
     }
@@ -1139,16 +1201,17 @@ mod tests {
         // Serialized via the env-independent in-process switch; restore on
         // exit so parallel tests observing the flag are unaffected (tests
         // that assert on stats use their own slabs directly).
+        let _lock = POOL_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         let pool = ScratchPool::new();
         let was = pooling_enabled();
         set_pooling(false);
         {
-            let _spa = pool.checkout_spa(ShapeClass::of(2, 64));
+            let _spa = pool.checkout_spa(2, 64);
         }
         assert_eq!(pool.stats().checkouts, 0);
         set_pooling(true);
         {
-            let _spa = pool.checkout_spa(ShapeClass::of(2, 64));
+            let _spa = pool.checkout_spa(2, 64);
         }
         assert_eq!(pool.stats().checkouts, 1);
         set_pooling(was);
