@@ -324,9 +324,10 @@ fn bench_serving(c: &mut Criterion) {
         })
     });
     // The same hot batch pushed through the full service runtime — JSON
-    // codec, loopback TCP, bounded mailbox, worker pool — against the
-    // same warmed cache tiers. The gap to `suite_batch_hot_1_64` is the
-    // wire front door's per-request overhead.
+    // codec, loopback TCP, and the plan-hot inline path on the session
+    // thread (no mailbox hop) — against the same warmed cache tiers. The
+    // gap to `suite_batch_hot_1_64` is the wire front door's per-request
+    // overhead.
     let runtime = std::sync::Arc::new(tailors_serve::ServiceRuntime::over(
         std::sync::Arc::clone(&service),
         tailors_serve::RuntimeConfig::default(),

@@ -24,7 +24,8 @@
 //! are versioned in the plan tier by the model fingerprint.
 //!
 //! The three `--wire*` modes run the fault-tolerant service runtime
-//! (bounded priority mailbox + worker pool + admission control; see
+//! (bounded priority mailbox + worker pool + admission control, with
+//! plan-hot analytical requests served inline on the session thread; see
 //! `tailors_serve::runtime`) behind the line-delimited JSON wire
 //! protocol instead of the sweep driver:
 //!

@@ -267,4 +267,34 @@ mod tests {
         let cold = ob.run_planned(&profile, &arch, &tile, &exec, GridMode::Panels);
         assert_eq!(resp.metrics, cold);
     }
+
+    /// The plan-hot probe is read-only: false before the first
+    /// submission, true after it, false again once the plan is evicted,
+    /// and it moves no counter — a hot request is counted once, by
+    /// `submit`.
+    #[test]
+    fn plan_hot_probe_tracks_the_tiers_without_touching_them() {
+        let service = SimService::with_config(ServeConfig {
+            plan_capacity: 1,
+            ..ServeConfig::default()
+        });
+        let fixed = SimRequest::suite("email-Enron", 1.0 / 256.0, Variant::ExTensorP)
+            .expect("suite workload");
+        let auto = SimRequest {
+            auto_plan: true,
+            ..fixed.clone()
+        };
+        assert!(!service.is_plan_hot(&fixed), "cold service");
+        service.submit(&fixed);
+        let stats = service.stats();
+        assert!(service.is_plan_hot(&fixed));
+        // Same matrix, distinct plan key: the probe keys plans exactly as
+        // `submit` does.
+        assert!(!service.is_plan_hot(&auto));
+        assert_eq!(service.stats(), stats, "the probe moved a counter");
+        // The auto plan takes the single plan slot: the fixed one is gone.
+        service.submit(&auto);
+        assert!(service.is_plan_hot(&auto));
+        assert!(!service.is_plan_hot(&fixed));
+    }
 }

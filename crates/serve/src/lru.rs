@@ -78,6 +78,12 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         })
     }
 
+    /// Whether `key` is resident, without touching recency (a probe, not
+    /// an access: it cannot save `key` from eviction).
+    pub fn contains(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+
     /// Visits every resident entry in unspecified order, without
     /// touching recency (a bookkeeping scan, not an access).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
@@ -171,6 +177,21 @@ mod tests {
         assert_eq!(sum, 12);
         assert_eq!(c.insert("c", 3), Some(("b", 2)));
         assert_eq!(c.get(&"a"), Some(&10));
+    }
+
+    #[test]
+    fn contains_probes_without_refreshing() {
+        let mut c = Lru::new(2);
+        c.insert("a", 1);
+        c.insert("b", 2);
+        // Touching "a" makes "b" the next victim; probing "b" must not
+        // save it.
+        assert_eq!(c.get(&"a"), Some(&1));
+        assert!(c.contains(&"b"));
+        assert!(!c.contains(&"z"));
+        assert_eq!(c.insert("c", 3), Some(("b", 2)));
+        assert!(!c.contains(&"b"));
+        assert!(c.contains(&"a") && c.contains(&"c"));
     }
 
     #[test]

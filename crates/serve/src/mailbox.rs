@@ -119,6 +119,12 @@ impl<T> Mailbox<T> {
         self.len() == 0
     }
 
+    /// Whether [`Mailbox::close`] (or [`Mailbox::close_and_drain`]) has
+    /// run: no further push will be admitted.
+    pub fn is_closed(&self) -> bool {
+        self.state.lock().closed
+    }
+
     /// Attempts to enqueue `value` on `priority`'s lane. Refuses — handing
     /// the value back — when the mailbox is at capacity
     /// ([`PushError::Full`], the backpressure signal) or closed
@@ -223,7 +229,9 @@ mod tests {
     fn close_refuses_pushes_but_serves_queued() {
         let mb = Mailbox::bounded(4);
         mb.try_push(Priority::Low, 1).unwrap();
+        assert!(!mb.is_closed());
         mb.close();
+        assert!(mb.is_closed());
         assert_eq!(mb.try_push(Priority::Low, 2), Err(PushError::Closed(2)));
         assert_eq!(mb.pop(), Some(1));
         assert_eq!(mb.pop(), None);

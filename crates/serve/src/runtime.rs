@@ -1,7 +1,8 @@
 //! The fault-tolerant service runtime: a fixed pool of actor-shaped
 //! worker threads consuming a bounded priority [`Mailbox`], with
-//! admission control in front of the queue and panic isolation around
-//! every request.
+//! admission control in front of the queue, an inline fast path for
+//! plan-hot analytical requests, and panic isolation around every
+//! request.
 //!
 //! # Request lifecycle
 //!
@@ -10,16 +11,21 @@
 //!    │
 //!    ├── admission ────► Overloaded{TensorBytes}   (functional only)
 //!    │
+//!    ├── plan-hot ─────► inline on the caller's thread ──► serve
+//!    │   (Sim, tiers hot, no deadline, not warm, mailbox open)
+//!    │
 //!    ├── try_push ─────► Overloaded{MailboxFull}   (backpressure,
 //!    │                   value handed back — retry with capped
 //!    │                   exponential backoff via [`RetryPolicy`])
 //!    │
 //!    └── queued ──► worker pop ──► deadline check ──► Timeout
 //!                        │
-//!                        └─ catch_unwind(execute) ─► Ok(Reply)
-//!                                    │               Faulted{panic:false}
-//!                                    └─ panic ─────► Faulted{panic:true}
-//!                                                    (worker survives)
+//!                        └─► serve
+//!
+//! serve = catch_unwind(execute) ─► Ok(Reply)
+//!                 │               Faulted{panic:false}
+//!                 └─ panic ─────► Faulted{panic:true}
+//!                                 (the serving thread survives)
 //! ```
 //!
 //! Every submitted request is accounted for exactly once:
@@ -27,8 +33,27 @@
 //! invariant the fault-injection suite asserts under injected panics,
 //! latency, and forced mailbox-full conditions. Completed responses are
 //! bit-identical to cold in-process runs for any fault history, because
-//! workers only ever execute [`SimService`] calls whose determinism the
-//! PR 4 suites already pin.
+//! both paths only ever execute [`SimService`] calls whose determinism
+//! the serving determinism suites pin.
+//!
+//! # Inline plan-hot requests
+//!
+//! The steady-state request is an analytical replay whose tensor
+//! identity, profile and plan are all cached: a few microseconds of
+//! model time, less than a mailbox round trip (reply channel, push,
+//! worker wakeup, reply wakeup). Such a request runs on the submitting
+//! thread — the wire session thread, or the in-process caller — through
+//! the same execution body the workers run, so it keeps its ledger row,
+//! its [`FaultPlan`] counters and its panic isolation. The rule is
+//! fixed: a [`Work::Sim`] request runs inline exactly when the service's
+//! cache tiers would answer it (a read-only probe that moves no counter
+//! and no LRU recency), it carries no deadline, it is not
+//! [`ServiceRuntime::submit_warm`] replay, and the mailbox is still
+//! open. Everything else queues: cold, functional, deadlined and warm
+//! work, and every request that arrives after a shutdown closed the
+//! mailbox. So [`RuntimeConfig::workers`] bounds only queued work;
+//! plan-hot CPU is bounded by the number of submitting threads (wire
+//! connections).
 //!
 //! # Fault injection
 //!
@@ -372,7 +397,9 @@ impl FaultState {
 /// Sizing and policy knobs for a [`ServiceRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
-    /// Worker threads consuming the mailbox.
+    /// Worker threads consuming the mailbox. Bounds queued work only:
+    /// plan-hot analytical requests run inline on their submitting
+    /// thread (see the [module docs](self)).
     pub workers: usize,
     /// Mailbox capacity across both priority lanes — the backpressure
     /// bound on queued requests.
@@ -743,6 +770,21 @@ impl ServiceRuntime {
                 capacity: self.mailbox.capacity(),
             }));
         }
+        // Plan-hot analytical work runs here, on the caller's thread:
+        // the mailbox round trip would cost more than the request.
+        let inline = deadline.is_none()
+            && priority_override.is_none()
+            && matches!(&work, Work::Sim(req) if self.service.is_plan_hot(req))
+            && !self.mailbox.is_closed();
+        if inline {
+            return serve_request(
+                &self.service,
+                &work,
+                &self.counters,
+                &self.faults,
+                self.config.faults,
+            );
+        }
         let (tx, rx) = sync_channel(1);
         let deadline_budget = deadline.unwrap_or(Duration::MAX);
         let envelope = Envelope {
@@ -773,7 +815,8 @@ impl ServiceRuntime {
     /// Admission control: a functional request whose estimated tensor
     /// footprint exceeds [`RuntimeConfig::max_tensor_bytes`] is refused
     /// before queueing. Analytical requests are always admitted; the
-    /// bounded mailbox is their only backpressure.
+    /// bounded mailbox is the only backpressure on those that queue, and
+    /// plan-hot ones run inline on their caller's thread.
     fn admit(&self, work: &Work) -> Result<(), ServeError> {
         if let Work::Functional(req) = work {
             let estimated = estimated_tensor_bytes(&req.workload);
@@ -787,8 +830,11 @@ impl ServiceRuntime {
         Ok(())
     }
 
-    /// Graceful shutdown: closes the mailbox (no new admissions), lets
-    /// the workers drain every queued request, joins them, and reports.
+    /// Graceful shutdown: closes the mailbox (no new admissions, inline
+    /// ones included), lets the workers drain every queued request, joins
+    /// them, and reports. An inline request that passed the open-mailbox
+    /// check before the close still runs to completion on its caller's
+    /// thread and lands in the ledger, possibly after this report.
     /// Idempotent; callable through an `Arc`.
     pub fn shutdown(&self) -> ShutdownReport {
         self.mailbox.close();
@@ -901,27 +947,7 @@ fn worker_loop(
                 continue;
             }
         }
-        if FaultState::fires(&faults.latencies, plan.latency_every) {
-            counters.injected_latency.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(plan.latency_ms));
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if FaultState::fires(&faults.executed, plan.panic_every) {
-                counters.injected_panics.fetch_add(1, Ordering::SeqCst);
-                panic!("injected fault: worker panic");
-            }
-            execute(service, &envelope.work)
-        }));
-        let reply = match outcome {
-            Ok(r) => r,
-            Err(payload) => {
-                counters.panics_isolated.fetch_add(1, Ordering::SeqCst);
-                Err(ServeError::Faulted {
-                    panic: true,
-                    message: panic_message(payload.as_ref()),
-                })
-            }
-        };
+        let reply = serve_request(service, &envelope.work, counters, faults, plan);
         // Publish this worker's thread-local pool counters (replace, not
         // accumulate — the thread-local counters are already cumulative)
         // *before* the reply: a submitter that has its answer must see
@@ -932,6 +958,36 @@ fn worker_loop(
         // already accounted as the timeout the submitter observed.
         let _ = envelope.reply.send(reply);
     }
+}
+
+/// One request's execution, shared by the workers and the inline path:
+/// the `latency` fault, then [`execute`] under `catch_unwind` with the
+/// `panic` fault inside it, a caught panic becoming `Faulted{panic:true}`.
+fn serve_request(
+    service: &SimService,
+    work: &Work,
+    counters: &Counters,
+    faults: &FaultState,
+    plan: FaultPlan,
+) -> Result<Reply, ServeError> {
+    if FaultState::fires(&faults.latencies, plan.latency_every) {
+        counters.injected_latency.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(plan.latency_ms));
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if FaultState::fires(&faults.executed, plan.panic_every) {
+            counters.injected_panics.fetch_add(1, Ordering::SeqCst);
+            panic!("injected fault: worker panic");
+        }
+        execute(service, work)
+    }));
+    outcome.unwrap_or_else(|payload| {
+        counters.panics_isolated.fetch_add(1, Ordering::SeqCst);
+        Err(ServeError::Faulted {
+            panic: true,
+            message: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 fn execute(service: &SimService, work: &Work) -> Result<Reply, ServeError> {
@@ -1262,6 +1318,115 @@ mod tests {
         let stats = runtime.stats();
         assert_eq!(stats.rejected, 0, "{stats:?}");
         assert_eq!(stats.completed, rounds);
+        assert_eq!(stats.accounted(), stats.submitted);
+    }
+
+    /// Warms `name`'s tiers on the runtime's service directly, so no
+    /// runtime counter moves, and returns its now plan-hot request.
+    fn hot_request(runtime: &ServiceRuntime, name: &str) -> SimRequest {
+        let Work::Sim(req) = sim_work(name) else {
+            unreachable!("sim_work builds sim work")
+        };
+        runtime.service().submit(&req);
+        assert!(runtime.service().is_plan_hot(&req));
+        req
+    }
+
+    #[test]
+    fn hot_requests_after_shutdown_are_refused_not_run_inline() {
+        let runtime = ServiceRuntime::new(RuntimeConfig::default());
+        let req = hot_request(&runtime, "email-Enron");
+        runtime
+            .submit(Work::Sim(req.clone()))
+            .expect("served inline");
+        runtime.shutdown();
+        let requests = runtime.service().stats().requests;
+        let e = runtime.submit(Work::Sim(req)).unwrap_err();
+        assert_eq!(e, ServeError::Shutdown);
+        assert_eq!(runtime.service().stats().requests, requests, "executed");
+        let stats = runtime.stats();
+        assert_eq!((stats.completed, stats.rejected), (1, 1));
+        assert_eq!(stats.accounted(), stats.submitted);
+    }
+
+    #[test]
+    fn inline_panics_are_isolated_and_typed() {
+        let runtime = ServiceRuntime::new(RuntimeConfig {
+            workers: 1,
+            faults: FaultPlan {
+                panic_every: Some(1),
+                ..FaultPlan::none()
+            },
+            ..RuntimeConfig::default()
+        });
+        let req = hot_request(&runtime, "email-Enron");
+        // Two inline panics in a row, then a cold request through the
+        // worker: every one is a typed fault and the runtime keeps serving.
+        for work in [Work::Sim(req.clone()), Work::Sim(req), sim_work("cant")] {
+            let e = runtime.submit(work).unwrap_err();
+            assert!(matches!(&e, ServeError::Faulted { panic: true, .. }), "{e}");
+        }
+        let stats = runtime.stats();
+        assert_eq!(stats.panics_isolated, 3);
+        assert_eq!(stats.injected_panics, 3);
+        assert_eq!(stats.faulted, 3);
+        assert_eq!(stats.accounted(), stats.submitted);
+    }
+
+    #[test]
+    fn deadlined_hot_requests_still_queue_and_time_out() {
+        let runtime = ServiceRuntime::new(RuntimeConfig::default());
+        let req = hot_request(&runtime, "email-Enron");
+        let e = runtime
+            .submit_with_deadline(Work::Sim(req), Some(Duration::ZERO))
+            .unwrap_err();
+        assert_eq!(
+            e,
+            ServeError::Timeout {
+                deadline: Duration::ZERO
+            }
+        );
+        let stats = runtime.stats();
+        assert_eq!(stats.timed_out, 1);
+        assert_eq!(stats.accounted(), stats.submitted);
+    }
+
+    #[test]
+    fn warm_replay_of_a_hot_request_still_rides_the_low_lane() {
+        // One worker held asleep by a queued cold request, so anything
+        // that queues behind it is still in the mailbox at the abort.
+        let runtime = Arc::new(ServiceRuntime::new(RuntimeConfig {
+            workers: 1,
+            faults: FaultPlan {
+                latency_every: Some(1),
+                latency_ms: 400,
+                ..FaultPlan::none()
+            },
+            ..RuntimeConfig::default()
+        }));
+        let req = hot_request(&runtime, "email-Enron");
+        let spawn = |warm: bool, work: Work| {
+            let runtime = Arc::clone(&runtime);
+            std::thread::spawn(move || {
+                if warm {
+                    runtime.submit_warm(work)
+                } else {
+                    runtime.submit(work)
+                }
+            })
+        };
+        let cold = spawn(false, sim_work("cant"));
+        std::thread::sleep(Duration::from_millis(50));
+        let replay = spawn(true, Work::Sim(req));
+        std::thread::sleep(Duration::from_millis(100));
+        let report = runtime.shutdown_now();
+        // Inline, the replay would have slept out its own latency and
+        // completed; queued, the abort refuses it.
+        let refused = replay.join().expect("replay thread").unwrap_err();
+        assert_eq!(refused, ServeError::Shutdown);
+        assert!(cold.join().expect("cold thread").is_ok());
+        assert_eq!(report.unserved, 1);
+        let stats = runtime.stats();
         assert_eq!(stats.accounted(), stats.submitted);
     }
 

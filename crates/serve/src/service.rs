@@ -363,8 +363,8 @@ impl SimService {
         }
     }
 
-    /// A snapshot of the cache counters, including tier occupancy (the
-    /// admission policy's plan-pressure signal).
+    /// A snapshot of the cache counters, including tier occupancy
+    /// (resident entries against each tier's capacity bound).
     pub fn stats(&self) -> ServeStats {
         let (profile_resident, profile_capacity) = {
             let p = self.profiles.lock();
@@ -386,6 +386,22 @@ impl SimService {
             plan_resident,
             plan_capacity,
         }
+    }
+
+    /// Whether the cache tiers would answer `req` without building
+    /// anything: its spec resolves to a known identity whose profile and
+    /// plan are both resident. A read-only probe: it touches neither LRU
+    /// recency nor the hit/miss counters, so a hot request is still
+    /// counted exactly once, by [`SimService::submit`]. The answer can be
+    /// stale by the time the caller acts on it (a concurrent insert may
+    /// evict the plan), which costs that request its planning time, never
+    /// a different payload.
+    pub(crate) fn is_plan_hot(&self, req: &SimRequest) -> bool {
+        let Some(id) = self.ids.lock().get(&SpecKey::of(&req.workload)).copied() else {
+            return false;
+        };
+        let key = self.plan_key(id, req.variant, &req.arch, req.budget, req.auto_plan);
+        self.profiles.lock().contains(&id) && self.plans.lock().contains(&key)
     }
 
     /// Serves one analytical request. Bit-identical to
@@ -608,6 +624,26 @@ impl SimService {
         (profile, false)
     }
 
+    /// The plan-tier key of one request.
+    fn plan_key(
+        &self,
+        id: MatrixId,
+        variant: Variant,
+        arch: &ArchConfig,
+        budget: MemBudget,
+        auto_plan: bool,
+    ) -> PlanKey {
+        let model_key = if auto_plan { self.cost_model.key() } else { 0 };
+        (
+            id,
+            variant.cache_key(),
+            arch.cache_key(),
+            budget,
+            auto_plan,
+            model_key,
+        )
+    }
+
     /// Tier-3 lookup: the (tile, execution) plan pair for the request
     /// key, constructed from the profile on a miss (outside the lock; see
     /// [`SimService::profile_of`] for why double construction is safe).
@@ -620,15 +656,7 @@ impl SimService {
         auto_plan: bool,
         profile: &MatrixProfile,
     ) -> (Planned, bool) {
-        let model_key = if auto_plan { self.cost_model.key() } else { 0 };
-        let key: PlanKey = (
-            id,
-            variant.cache_key(),
-            arch.cache_key(),
-            budget,
-            auto_plan,
-            model_key,
-        );
+        let key = self.plan_key(id, variant, arch, budget, auto_plan);
         if let Some(p) = self.plans.lock().get(&key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return (*p, true);

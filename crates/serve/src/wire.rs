@@ -1458,8 +1458,10 @@ fn serve_session<R: BufRead, W: Write>(
 
 /// A TCP front door: an accept loop on its own thread, one serving
 /// thread per connection, all funnelling into one shared
-/// [`ServiceRuntime`] (whose mailbox and admission control provide the
-/// backpressure).
+/// [`ServiceRuntime`]. Plan-hot analytical requests run inline on their
+/// connection's thread, so connections bound that CPU; everything else
+/// queues, and the runtime's mailbox and admission control provide its
+/// backpressure.
 #[derive(Debug)]
 pub struct WireTcpServer {
     addr: SocketAddr,

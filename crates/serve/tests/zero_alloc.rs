@@ -7,6 +7,10 @@
 //! the entire hot path (cache lookups, `run_planned` replay, response
 //! construction) runs on plain data and pre-resolved `Arc`s.
 //!
+//! The service runtime keeps that pin: a plan-hot request submitted
+//! through a [`ServiceRuntime`] runs inline on the caller's thread, with
+//! no reply channel or queue envelope, so it allocates nothing either.
+//!
 //! The wire codec has its own pin: with warm line buffers, encoding and
 //! decoding every request and reply of that batch allocates nothing
 //! either — the decoder borrows from the line instead of building a tree.
@@ -31,7 +35,9 @@ use std::sync::Mutex;
 use tailors_serve::wire::{
     decode_reply, decode_request_line, encode_reply_into, encode_request_into,
 };
-use tailors_serve::{FunctionalRequest, Reply, SimRequest, SimService, Work};
+use tailors_serve::{
+    FunctionalRequest, Reply, RuntimeConfig, ServiceRuntime, SimRequest, SimService, Work,
+};
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 use tailors_tensor::storage::{pooling_enabled, set_pooling};
 
@@ -137,6 +143,44 @@ fn hot_served_suite_batch_allocates_nothing() {
         "hot suite batch must not touch the allocator ({} requests)",
         reqs.len()
     );
+    drop(pinned);
+}
+
+/// The runtime pin: with every cache tier warm, submitting the whole
+/// suite through a `ServiceRuntime` one request at a time performs
+/// exactly zero heap allocations — plan-hot requests skip the mailbox.
+#[test]
+fn hot_runtime_submissions_allocate_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let reqs = suite_requests(1.0 / 64.0);
+    let pinned: Vec<_> = reqs
+        .iter()
+        .map(|r| tailors_workloads::generate_cached(&r.workload))
+        .collect();
+    let works: Vec<Work> = reqs.into_iter().map(Work::Sim).collect();
+    let runtime = ServiceRuntime::new(RuntimeConfig::default());
+    let pass = || {
+        for work in &works {
+            black_box(runtime.submit(work.clone()).expect("served"));
+        }
+    };
+    // Two warm passes, as for the in-process pin: the first queues every
+    // (cold) request and fills the tiers, the second runs inline.
+    pass();
+    pass();
+
+    let before = allocs();
+    pass();
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "hot runtime submissions must not touch the allocator ({} requests)",
+        works.len()
+    );
+    let stats = runtime.stats();
+    assert_eq!(stats.completed, 3 * works.len() as u64);
+    assert_eq!(stats.accounted(), stats.submitted);
     drop(pinned);
 }
 
