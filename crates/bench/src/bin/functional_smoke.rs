@@ -8,7 +8,7 @@
 //! [--spill] [--spill-residency SPEC] [--verify] [knob flags]`
 //!
 //! The knob flags (`--threads N`, `--mem-budget SPEC`, `--grid MODE`,
-//! `--auto-plan`, `--calibrate`, `--no-simd`) are resolved by
+//! `--auto-plan`, `--calibrate`) are resolved by
 //! [`Knobs`]: flag, then `TAILORS_*` variable (so
 //! `run_all` reaches this binary the same way as every other), then the
 //! default — which for `--mem-budget` is this binary's own 256 MiB.

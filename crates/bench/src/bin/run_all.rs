@@ -2,12 +2,12 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin run_all --
 //! [scale] [--threads N] [--mem-budget SPEC] [--grid MODE] [--auto-plan]
-//! [--calibrate] [--no-simd] [--no-gen-cache] [--serve]`
+//! [--calibrate] [--no-gen-cache] [--serve]`
 //!
 //! At `scale = 1.0` (default) the workloads are generated at the paper's
 //! full dimensions; expect a few minutes, dominated by tensor generation.
 //!
-//! The six knob flags are resolved here once by
+//! The five knob flags are resolved here once by
 //! [`Knobs`] (flag, then `TAILORS_*` variable, then
 //! default) and handed to every child binary through the same variables
 //! ([`Knobs::child_env`](tailors_sim::Knobs::child_env)):
@@ -28,10 +28,6 @@
 //! * `--calibrate`: auto planners minimize measured per-term costs
 //!   (`CostModel::calibrated`) instead of raw element touches; chosen
 //!   tilings may differ, replayed results never do.
-//! * `--no-simd`: every fiber intersection takes the portable scalar
-//!   superblock path instead of the runtime-dispatched SIMD kernel
-//!   (results are bit-identical either way — this is the isolation knob
-//!   CI runs the whole suite under).
 //!
 //! Generated tensors are memoized on disk across the child binaries
 //! (`TAILORS_GEN_CACHE`, defaulting to `target/gen-cache`) so the ten
@@ -70,7 +66,7 @@ fn main() {
     let mut wire = false;
     let mut router = false;
     const USAGE: &str = "usage: run_all [scale] [--threads N] [--mem-budget SPEC] [--grid MODE] \
-         [--auto-plan] [--calibrate] [--no-simd] [--no-gen-cache] [--serve] [--wire] [--router]";
+         [--auto-plan] [--calibrate] [--no-gen-cache] [--serve] [--wire] [--router]";
     for arg in args {
         if arg == "--no-gen-cache" {
             gen_cache = false;

@@ -7,11 +7,11 @@
 //! Architecture capacities are scaled by the same factor so tensor-to-
 //! buffer ratios — and hence the evaluation's shape — are preserved.
 //!
-//! The six run options (threads, mem budget, grid, auto-plan, cost
-//! model, no-simd) are resolved once per process by [`parse_cli`]
-//! through [`Knobs`]: each comes from its flag (`--threads N`,
-//! `--mem-budget SPEC`, `--grid MODE`, `--auto-plan`, `--calibrate`,
-//! `--no-simd`), else its `TAILORS_*` variable (which is how `run_all`
+//! The five run options (threads, mem budget, grid, auto-plan, cost
+//! model) are resolved once per process by [`parse_cli`] through
+//! [`Knobs`]: each comes from its flag (`--threads N`,
+//! `--mem-budget SPEC`, `--grid MODE`, `--auto-plan`, `--calibrate`),
+//! else its `TAILORS_*` variable (which is how `run_all`
 //! hands them to every figure binary), else its default; see
 //! [`tailors_sim::knobs`] for the grammar. None of them changes a
 //! figure's numbers except the scratch stats the suite records.

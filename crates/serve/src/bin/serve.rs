@@ -5,19 +5,16 @@
 //!
 //! Usage: `cargo run --release -p tailors-serve --bin serve --
 //! [scale] [--sweeps N] [--threads N] [--mem-budget SPEC] [--grid MODE]
-//! [--auto-plan] [--calibrate] [--no-simd] [--verify] [--smoke-functional]
+//! [--auto-plan] [--calibrate] [--verify] [--smoke-functional]
 //! [--wire ADDR | --wire-stdio | --wire-smoke]
 //! [--router N | --shards ADDR,ADDR,... | --router-smoke]
 //! [--replicas R] [--probe-ms MS]`
 //!
-//! The six knob flags (`--threads`, `--mem-budget`, `--grid`,
-//! `--auto-plan`, `--calibrate`, `--no-simd`) are resolved by
+//! The five knob flags (`--threads`, `--mem-budget`, `--grid`,
+//! `--auto-plan`, `--calibrate`) are resolved by
 //! [`Knobs`]: flag, then `TAILORS_*` variable (so `run_all --serve`
 //! reaches this binary with the same knobs as every other child), then
-//! default. `--no-simd` pins `TAILORS_SIMD=off` for the process: every
-//! fiber intersection takes the portable scalar superblock path (results
-//! are bit-identical either way; this is the knob for isolating the SIMD
-//! dispatch when debugging or benchmarking). `--calibrate` plans
+//! default. `--calibrate` plans
 //! auto-planned requests under the measured
 //! [`CostModel::calibrated`](tailors_sim::CostModel::calibrated)
 //! weights instead of the uniform element-touch model. Calibrated plans
@@ -184,6 +181,7 @@ fn main() {
         return;
     }
     assert!(replicas > 0, "--replicas must be positive");
+    assert!(probe_ms != Some(0), "--probe-ms must be positive");
     let router_config = RouterConfig {
         replicas,
         probe_interval: probe_ms.map(std::time::Duration::from_millis),
@@ -227,11 +225,10 @@ fn main() {
     println!(
         "serve: {} requests/sweep ({} workloads x {} variants) at scale {scale}, \
          {threads} threads, budget {budget}, grid {grid}, auto-plan {auto_plan}, \
-         simd {}, cost model {}",
+         cost model {}",
         batch.len(),
         batch.len() / per_workload,
         per_workload,
-        tailors_tensor::simd::active_level(),
         if cost_model.is_uniform() {
             "uniform".to_string()
         } else {

@@ -560,7 +560,8 @@ impl ShardRouter {
     ///
     /// # Errors
     ///
-    /// Connection failures, or an empty endpoint list.
+    /// Connection failures, an empty endpoint list, or a zero
+    /// [`RouterConfig::probe_interval`] (a prober that never waits).
     pub fn connect<A: ToSocketAddrs>(
         endpoints: &[A],
         config: RouterConfig,
@@ -569,6 +570,12 @@ impl ShardRouter {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "a shard router needs at least one endpoint",
+            ));
+        }
+        if config.probe_interval == Some(Duration::ZERO) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "the probe interval must be positive",
             ));
         }
         let connections = config.connections.max(1);
@@ -1335,6 +1342,22 @@ mod tests {
         // Zero clamps to one attempt, never an unbounded loop.
         let PoolError::DialExhausted { attempts, .. } = shard.checkout(0).expect_err("still dead");
         assert_eq!(attempts, 1);
+    }
+
+    #[test]
+    fn connect_refuses_a_zero_probe_interval_before_dialing() {
+        // Nothing listens on the endpoint, so a router that dialed would
+        // fail with a connection error instead.
+        let dead_addr = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            l.local_addr().expect("addr")
+        };
+        let config = RouterConfig {
+            probe_interval: Some(Duration::ZERO),
+            ..RouterConfig::default()
+        };
+        let err = ShardRouter::connect(&[dead_addr], config).expect_err("zero interval");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

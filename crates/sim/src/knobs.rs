@@ -1,7 +1,7 @@
-//! The one place the workspace's six run options are resolved.
+//! The one place the workspace's five run options are resolved.
 //!
 //! Every binary (the figure suite, `run_all`, `functional_smoke`,
-//! `serve`) accepts the same six knobs, each with one grammar:
+//! `serve`) accepts the same five knobs, each with one grammar:
 //!
 //! | knob         | flag                | fallback variable     | default              |
 //! |--------------|---------------------|-----------------------|----------------------|
@@ -10,16 +10,13 @@
 //! | grid         | `--grid MODE`       | `TAILORS_GRID`        | panels               |
 //! | auto-plan    | `--auto-plan`       | `TAILORS_AUTO_PLAN`   | off                  |
 //! | cost model   | `--calibrate`       | `TAILORS_CALIBRATE`   | uniform              |
-//! | no-simd      | `--no-simd`         | `TAILORS_SIMD`        | off (SIMD dispatch)  |
 //!
 //! A flag wins over its variable, and the variable over the default.
 //! `SPEC` is anything [`MemBudget::parse`] accepts, `MODE` anything
 //! [`GridMode::parse`] accepts; the boolean variables take `1`/`true`/
-//! `yes` or `0`/`false`/`no` (case-insensitive, empty = off), and
-//! `TAILORS_SIMD` takes the grammar of
-//! [`parse_simd_mode`], of which
-//! only `off` counts as no-simd. A malformed value panics with a message
-//! naming the flag or variable it came from.
+//! `yes` or `0`/`false`/`no` (case-insensitive, empty = off). A
+//! malformed value panics with a message naming the flag or variable it
+//! came from.
 //!
 //! [`Knobs::resolve`] is the pure resolver (the environment is an
 //! injected lookup, so the grammar is testable without touching the
@@ -28,11 +25,9 @@
 //! child processes (`run_all`'s figure binaries) through the same
 //! variables.
 
-use tailors_tensor::simd::{parse_simd_mode, SimdMode};
-
 use crate::exec::{CostModel, GridMode, MemBudget};
 
-/// The six resolved run options. None of them changes a result: they
+/// The five resolved run options. None of them changes a result: they
 /// pick thread counts, memory bounds, parallel decomposition and tiling,
 /// all of which the engines are bit-identical across.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +44,6 @@ pub struct Knobs {
     /// The auto planner's term weights: [`CostModel::UNIFORM`], or
     /// [`CostModel::calibrated`] under `--calibrate`.
     pub cost_model: CostModel,
-    /// Whether every fiber intersection takes the portable scalar path.
-    pub no_simd: bool,
 }
 
 impl Default for Knobs {
@@ -61,7 +54,6 @@ impl Default for Knobs {
             grid: GridMode::Panels,
             auto_plan: false,
             cost_model: CostModel::UNIFORM,
-            no_simd: false,
         }
     }
 }
@@ -69,22 +61,15 @@ impl Default for Knobs {
 impl Knobs {
     /// Resolves the knobs from this process's command line (program name
     /// skipped) and environment, falling back to `defaults`; returns them
-    /// with the arguments that are not knob flags, in order. With
-    /// no-simd resolved on, also sets `TAILORS_SIMD=off` so the lazily
-    /// resolved intersect dispatch (and any child process) sees it — call
-    /// this before any kernel runs.
+    /// with the arguments that are not knob flags, in order.
     ///
     /// # Panics
     ///
     /// As [`Knobs::resolve`].
     pub fn from_args(defaults: Knobs) -> (Knobs, Vec<String>) {
-        let (knobs, rest) = Knobs::resolve(defaults, std::env::args().skip(1), |name| {
+        Knobs::resolve(defaults, std::env::args().skip(1), |name| {
             std::env::var(name).ok()
-        });
-        if knobs.no_simd {
-            std::env::set_var("TAILORS_SIMD", "off");
-        }
-        (knobs, rest)
+        })
     }
 
     /// Resolves the knobs from `args` (knob flags are consumed, everything
@@ -101,7 +86,7 @@ impl Knobs {
         env: impl Fn(&str) -> Option<String>,
     ) -> (Knobs, Vec<String>) {
         let (mut threads, mut mem_budget, mut grid) = (None, None, None);
-        let (mut auto_plan, mut calibrate, mut no_simd) = (false, false, false);
+        let (mut auto_plan, mut calibrate) = (false, false);
         let mut rest = Vec::new();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -117,7 +102,6 @@ impl Knobs {
                 "--grid" => grid = value("--grid"),
                 "--auto-plan" => auto_plan = true,
                 "--calibrate" => calibrate = true,
-                "--no-simd" => no_simd = true,
                 _ => rest.push(arg),
             }
         }
@@ -152,7 +136,6 @@ impl Knobs {
                 Some(false) => CostModel::UNIFORM,
                 None => defaults.cost_model,
             },
-            no_simd: switch(no_simd, "TAILORS_SIMD", parse_no_simd).unwrap_or(defaults.no_simd),
         };
         (knobs, rest)
     }
@@ -160,11 +143,10 @@ impl Knobs {
     /// The variables that hand these knobs to a child process: resolving
     /// them there reproduces every knob. A non-uniform cost model is
     /// passed as `TAILORS_CALIBRATE=1`, so the child measures its own
-    /// weights; `TAILORS_SIMD` is only set (to `off`) under no-simd,
-    /// otherwise the child inherits the parent's value.
+    /// weights.
     pub fn child_env(&self) -> Vec<(&'static str, String)> {
         let flag = |on: bool| if on { "1" } else { "0" }.to_string();
-        let mut vars = vec![
+        vec![
             ("TAILORS_THREADS", self.threads.to_string()),
             ("TAILORS_MEM_BUDGET", self.mem_budget.to_string()),
             ("TAILORS_GRID", self.grid.to_string()),
@@ -173,11 +155,7 @@ impl Knobs {
                 "TAILORS_CALIBRATE",
                 flag(self.cost_model != CostModel::UNIFORM),
             ),
-        ];
-        if self.no_simd {
-            vars.push(("TAILORS_SIMD", "off".to_string()));
-        }
-        vars
+        ]
     }
 }
 
@@ -202,14 +180,6 @@ fn parse_bool(s: &str) -> Result<bool, String> {
     }
 }
 
-/// The `TAILORS_SIMD` grammar ([`parse_simd_mode`]): only `off` turns the
-/// SIMD dispatch off.
-fn parse_no_simd(s: &str) -> Result<bool, String> {
-    parse_simd_mode(s)
-        .map(|mode| mode == SimdMode::Off)
-        .ok_or_else(|| format!("must be off/auto/avx2 (or a boolean), got {s:?}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,11 +198,10 @@ mod tests {
             "--mem-budget" => (k.mem_budget.to_string(), "TAILORS_MEM_BUDGET"),
             "--grid" => (k.grid.to_string(), "TAILORS_GRID"),
             "--auto-plan" => (k.auto_plan.to_string(), "TAILORS_AUTO_PLAN"),
-            "--calibrate" => (
+            _ => (
                 (k.cost_model == CostModel::calibrated()).to_string(),
                 "TAILORS_CALIBRATE",
             ),
-            _ => (k.no_simd.to_string(), "TAILORS_SIMD"),
         }
     }
 
@@ -270,8 +239,6 @@ mod tests {
             ("--auto-plan", "0|false|No||  ", "false"),
             ("--calibrate", "1|true|yes", "true"),
             ("--calibrate", "0|FALSE|no|", "false"),
-            ("--no-simd", "off|0|false|NO| Scalar ", "true"),
-            ("--no-simd", "|on|1|auto|TRUE|yes|AVX2", "false"),
         ];
         for (flag, spellings, want) in valid {
             let switch = !matches!(flag, "--threads" | "--mem-budget" | "--grid");
@@ -302,7 +269,6 @@ mod tests {
             ("--grid", "3d|"),
             ("--auto-plan", "always|2"),
             ("--calibrate", "maybe"),
-            ("--no-simd", "mmx|2|avx512"),
         ];
         for (flag, spellings) in malformed {
             let var = show(&d, flag).1;
@@ -342,7 +308,6 @@ mod tests {
                 grid: GridMode::Grid2D,
                 auto_plan: true,
                 cost_model: CostModel::calibrated(),
-                no_simd: true,
             },
         ];
         for k in knobs {

@@ -10,7 +10,7 @@
 //!   and overbooking streaming-traffic accounting.
 //! * [`variants`] — ExTensor-N / ExTensor-P / ExTensor-OB tile planners.
 //! * [`knobs`] — [`Knobs`], the one resolution point (flag, then
-//!   `TAILORS_*` variable, then default) for the six run options every
+//!   `TAILORS_*` variable, then default) for the five run options every
 //!   binary shares.
 //! * [`exec`] — the memory-governed execution planner: 2-D (row-panel ×
 //!   column-block) work-unit grids that bound the software engines'

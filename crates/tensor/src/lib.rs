@@ -35,16 +35,7 @@
 //! assert_eq!(occ.iter().sum::<u64>(), a.nnz() as u64);
 //! ```
 
-// The workspace stance is `forbid(unsafe_code)` everywhere. This crate
-// alone steps down to `deny` — which, unlike `forbid`, can be overridden
-// by a scoped `#[allow]` — so that the audited [`simd`] module can hold
-// the workspace's only `unsafe` blocks (the runtime-dispatched AVX2
-// intersect kernel). Every such block carries a `// SAFETY:` comment,
-// and `unsafe_op_in_unsafe_fn` is denied so `#[target_feature]` bodies
-// get no implicit unsafety either. See `simd`'s module docs for the
-// full audit argument.
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod coo;

@@ -561,8 +561,8 @@ struct SpillState {
 /// at a time* — so the working set per (panel, tile) step is one `A`
 /// panel plus one `B` tile, and a byte-budgeted tile cache bounds
 /// residency regardless of matrix size. No `mmap(2)` involved despite the
-/// name the roadmap gave the tier: plain seek + read keeps the crate free
-/// of `unsafe` and OS-specific paging.
+/// name the roadmap gave the tier: plain seek + read keeps the crate
+/// memory-safe and free of OS-specific paging.
 #[derive(Debug)]
 pub struct MmapStorage {
     path: PathBuf,

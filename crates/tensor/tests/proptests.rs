@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use tailors_tensor::fiber::Fiber;
 use tailors_tensor::ops::{self, count_work, spmspm, spmspm_into, SpmspmScratch};
-use tailors_tensor::simd;
 use tailors_tensor::stats::{geomean, overbooking_quantile, quantile, summarize};
 use tailors_tensor::tiling::{grid_tile_occupancies, RowPanels};
 use tailors_tensor::{CooMatrix, CsrMatrix};
@@ -289,78 +288,26 @@ proptest! {
         }
     }
 
-    /// Galloping intersection is exactly equivalent to the linear
-    /// two-finger merge — matches *and* the modeled scan count — on
-    /// arbitrary fibers, including the extreme length ratios that trigger
-    /// the automatic dispatch.
+    /// The counted two-finger merge agrees with the lazy iterator on the
+    /// match count, is symmetric in its operands, and never scans more
+    /// coordinates than the two fibers hold.
     #[test]
-    fn galloping_intersection_matches_linear(
-        mut ca in proptest::collection::vec(0u32..5_000, 0..40),
-        mut cb in proptest::collection::vec(0u32..5_000, 0..2_000),
-    ) {
-        ca.sort_unstable();
-        ca.dedup();
-        cb.sort_unstable();
-        cb.dedup();
-        let va = vec![1.0; ca.len()];
-        let vb = vec![1.0; cb.len()];
-        let a = Fiber::new(&ca, &va);
-        let b = Fiber::new(&cb, &vb);
-        let lin = a.intersect_counted_linear(&b);
-        prop_assert_eq!(a.intersect_counted_galloping(&b), lin);
-        prop_assert_eq!(a.intersect_counted_blocked(&b), lin);
-        prop_assert_eq!(a.intersect_counted(&b), lin);
-        // And flipped operands (gallop over either side).
-        let lin_flipped = b.intersect_counted_linear(&a);
-        prop_assert_eq!(b.intersect_counted_galloping(&a), lin_flipped);
-        prop_assert_eq!(b.intersect_counted_blocked(&a), lin_flipped);
-        prop_assert_eq!(b.intersect_counted(&a), lin_flipped);
-        prop_assert_eq!(lin.0, lin_flipped.0);
-    }
-
-    /// Every SIMD intersection kernel the CPU supports agrees exactly
-    /// with the linear two-finger merge, and the dispatched blocked path
-    /// (whatever level the environment resolves) reproduces the portable
-    /// scalar superblock path bit-for-bit — matches *and* modeled scan
-    /// counts. The fibers exercise the kernels' edge geometry: empty
-    /// operands, lengths below one SIMD width (so the whole intersection
-    /// is the scalar tail), ragged tails of every residue mod 16, and a
-    /// spliced fully-dense superblock (256 consecutive shared coords, the
-    /// all-hit mask path).
-    #[test]
-    fn simd_intersection_matches_scalar(
+    fn counted_intersection_matches_iterator(
         mut ca in proptest::collection::vec(0u32..4_000, 0..600),
         mut cb in proptest::collection::vec(0u32..4_000, 0..600),
-        dense in proptest::bool::ANY,
-        dense_block in 0u32..4,
     ) {
         ca.sort_unstable();
         ca.dedup();
         cb.sort_unstable();
         cb.dedup();
-        if dense {
-            // 256 consecutive coords shared by both sides, above every
-            // random coord so sortedness is preserved.
-            let base = 4_096 + dense_block * 256;
-            ca.extend(base..base + 256);
-            cb.extend(base..base + 256);
-        }
         let va = vec![1.0; ca.len()];
         let vb = vec![1.0; cb.len()];
         let a = Fiber::new(&ca, &va);
         let b = Fiber::new(&cb, &vb);
-        let lin = a.intersect_counted_linear(&b);
-        prop_assert_eq!(a.intersect_counted_blocked_scalar(&b), lin);
-        prop_assert_eq!(a.intersect_counted_blocked(&b), lin);
-        // None ⇔ this CPU lacks AVX2; Some must be exact.
-        if let Some(m) = simd::intersect_matches_at(simd::SimdLevel::Avx2, &ca, &cb) {
-            prop_assert_eq!(m, lin.0, "avx2 kernel diverged");
-        }
-        if let Some(m) = simd::intersect_matches_at(simd::SimdLevel::Avx2, &cb, &ca) {
-            prop_assert_eq!(m, lin.0, "avx2 kernel diverged flipped");
-        }
-        // Flipped operands through the dispatcher too.
-        prop_assert_eq!(b.intersect_counted_blocked(&a), b.intersect_counted_blocked_scalar(&a));
+        let (matches, scanned) = a.intersect_counted(&b);
+        prop_assert_eq!(matches, a.intersect(&b).count());
+        prop_assert_eq!(b.intersect_counted(&a), (matches, scanned));
+        prop_assert!(scanned <= a.len() + b.len());
     }
 
     /// The tile column-pointer span of a whole tile run equals the union
